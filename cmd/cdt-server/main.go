@@ -99,7 +99,6 @@ func main() {
 		reqTimeout  = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline; advances return partial progress at expiry (0: none)")
 		maxBody     = flag.Int64("max-body-bytes", 1<<20, "maximum request body size in bytes (413 past this)")
 		shedAfter   = flag.Duration("shed-retry-after", time.Second, "Retry-After hint sent with 429 when the advance pool is saturated")
-		legacyErrs  = flag.Bool("legacy-errors", false, "restore the deprecated top-level \"message\" mirror in error envelopes (wire revision 1 compatibility)")
 		nodeID      = flag.String("node-id", "", "with -peers: this node's id in the peer list")
 		peersFlag   = flag.String("peers", "", "static cluster topology as comma-separated id=url pairs sharing -state-dir (empty: single-node)")
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "with -peers: job lease lifetime; crash failover begins once a lease is this stale")
@@ -127,7 +126,6 @@ func main() {
 	srv.RequestTimeout = *reqTimeout
 	srv.MaxBodyBytes = *maxBody
 	srv.ShedRetryAfter = *shedAfter
-	srv.LegacyErrors = *legacyErrs
 	srv.Logger = lg
 	srv.Tracer = tracing.New(*traceCap)
 	if *peersFlag != "" {

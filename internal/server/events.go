@@ -174,11 +174,7 @@ func wantsNDJSON(r *http.Request) bool {
 // between advances the stream idles (SSE subscribers get keep-alive
 // comments).
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
+	flusher := w.(http.Flusher) // the request frame's statusWriter
 	ndjson := wantsNDJSON(r)
 	sub := j.hub.subscribe(eventBufferSize)
 	defer j.hub.unsubscribe(sub)

@@ -74,7 +74,7 @@ func TestBodyLimits(t *testing.T) {
 func TestPanicRecovery(t *testing.T) {
 	s := New()
 	calls := 0
-	h := s.harden(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := s.frame(route{path: "other"}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
 		switch r.URL.Path {
 		case "/boom":
@@ -118,7 +118,7 @@ func TestPanicInAdvanceKeepsOtherJobsAlive(t *testing.T) {
 	st := createJob(t, h)
 
 	// Panic mid-flight on a hardened handler sharing the server.
-	ph := s.harden(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ph := s.frame(route{path: "other"}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("poisoned request")
 	}))
 	rec := httptest.NewRecorder()

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"cmabhs/internal/metrics"
@@ -16,14 +15,15 @@ import (
 //   - every metric is prefixed cdt_; durations are histograms in
 //     seconds with a _seconds suffix, counts are _total counters;
 //   - HTTP series carry a route label holding the route PATTERN
-//     ("/v1/jobs/{id}/advance"), never the raw path — ids never reach
-//     labels, anywhere: job ids are monotonic and unbounded under
-//     create/delete churn, so an id-labeled family would leak series.
-//     Per-job numbers ride in the JobStatus metrics block instead;
+//     ("/v1/jobs/{id}/advance") from the route table (routes.go),
+//     never the raw path — ids never reach labels, anywhere: job ids
+//     are monotonic and unbounded under create/delete churn, so an
+//     id-labeled family would leak series. Per-job numbers ride in the
+//     JobStatus metrics block instead;
 //   - values another component already tracks (pool occupancy, live
 //     jobs) are GaugeFuncs read at scrape time, not shadow counters.
 
-// metricNames used by the middleware hot path.
+// metricNames used by the request frame.
 const (
 	mnRequests   = "cdt_http_requests_total"
 	mnLatency    = "cdt_http_request_seconds"
@@ -33,65 +33,18 @@ const (
 	mnPanics     = "cdt_http_panics_total"
 )
 
-// routes is the fixed route-pattern universe; routeOf maps every
-// request into it.
-var routes = []string{
-	"/v1/healthz",
-	"/v1/jobs",
-	"/v1/jobs/{id}",
-	"/v1/jobs/{id}/advance",
-	"/v1/jobs/{id}/snapshot",
-	"/v1/jobs/{id}/estimates",
-	"/v1/jobs/{id}/events",
-	"/v1/jobs/{id}/series",
-	"/v1/game/solve",
-	"/v1/stats",
-	"/v1/cluster/overview",
-	"/metrics",
-	"other",
-}
-
-// routeOf normalizes a request path to its route pattern.
-func routeOf(path string) string {
-	switch path {
-	case "/v1/healthz", "/v1/jobs", "/v1/game/solve", "/v1/stats",
-		"/v1/cluster/overview", "/metrics":
-		return path
-	}
-	if rest, ok := strings.CutPrefix(path, "/v1/jobs/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			switch rest[i+1:] {
-			case "advance":
-				return "/v1/jobs/{id}/advance"
-			case "snapshot":
-				return "/v1/jobs/{id}/snapshot"
-			case "estimates":
-				return "/v1/jobs/{id}/estimates"
-			case "events":
-				return "/v1/jobs/{id}/events"
-			case "series":
-				return "/v1/jobs/{id}/series"
-			}
-			return "other"
-		}
-		return "/v1/jobs/{id}"
-	}
-	return "other"
-}
-
 // serverMetrics holds the pre-resolved instruments of the broker's
 // hot paths; everything else resolves through the registry on demand.
 type serverMetrics struct {
 	reg      *metrics.Registry
 	inFlight *metrics.Gauge
-	latency  map[string]*metrics.Histogram // by route pattern
+	routes   map[string]*routeMetrics // by route label
 
 	// Rolling 1m/5m windows alongside the cumulative families
 	// (exposed as *_1m/*_5m gauge series, see registerWindows).
 	// Index 0 is the 1-minute window, index 1 the 5-minute one.
-	winLatency map[string][2]*metrics.Window // by route pattern
-	winAll     [2]*metrics.Window            // all routes pooled (overview rollup)
-	winShed    [2]*metrics.Window            // count-only
+	winAll  [2]*metrics.Window // all routes pooled (overview rollup)
+	winShed [2]*metrics.Window // count-only
 
 	shed       *metrics.Counter
 	bodyReject *metrics.Counter
@@ -119,16 +72,19 @@ type serverMetrics struct {
 	leaseTakeovers     *metrics.Counter
 	proxyRejected      *metrics.Counter
 	proxyErrors        *metrics.Counter
-	proxiedByRoute     map[string]*metrics.Counter // by route pattern
 }
 
-// proxied returns the cdt_proxied_requests_total counter for a route
-// pattern (falling back to "other" for anything outside the universe).
+// routeMetrics are one route label's instruments, bound into its
+// request frame (and, for proxied, its job adapter) by Handler.
+type routeMetrics struct {
+	latency *metrics.Histogram
+	win     [2]*metrics.Window // rolling 1m/5m latency
+	proxied *metrics.Counter   // nil on a single-node broker, which never proxies
+}
+
+// proxied returns the cdt_proxied_requests_total counter for a route label.
 func (m *serverMetrics) proxied(route string) *metrics.Counter {
-	if c, ok := m.proxiedByRoute[route]; ok {
-		return c
-	}
-	return m.proxiedByRoute["other"]
+	return m.routes[route].proxied
 }
 
 // Metrics returns the broker's metrics registry, building and
@@ -143,7 +99,7 @@ func (s *Server) Metrics() *metrics.Registry {
 		m := &serverMetrics{
 			reg:      reg,
 			inFlight: reg.Gauge(mnInFlight, "HTTP requests currently being served."),
-			latency:  make(map[string]*metrics.Histogram, len(routes)),
+			routes:   make(map[string]*routeMetrics),
 			shed: reg.Counter(mnShed,
 				"Advance requests shed with 429 because the advance pool was saturated."),
 			bodyReject: reg.Counter(mnBodyReject,
@@ -166,11 +122,14 @@ func (s *Server) Metrics() *metrics.Registry {
 			walReplayed: reg.Counter("cdt_wal_replayed_rounds_total",
 				"Rounds replayed from WAL tails during crash recovery."),
 		}
-		for _, rt := range routes {
-			m.latency[rt] = reg.Histogram(mnLatency,
-				"HTTP request latency in seconds, by route pattern.", nil, metrics.L("route", rt))
-		}
 		m.registerWindows(reg)
+		// One instrument set per route label: each table path, plus
+		// "other" for requests no route matches.
+		for _, rt := range append(s.routes(), route{path: "other"}) {
+			if m.routes[rt.path] == nil {
+				m.routes[rt.path] = registerRoute(reg, rt.path, s.clustered())
+			}
+		}
 		reg.Gauge("cdt_build_info",
 			"Build and wire-format metadata carried in labels; the value is always 1.",
 			metrics.L("version", buildVersion()),
@@ -214,12 +173,6 @@ func (s *Server) Metrics() *metrics.Registry {
 				"Requests answered 503 because job ownership was in transition.")
 			m.proxyErrors = reg.Counter("cdt_proxy_errors_total",
 				"Proxied requests that failed to reach the owning peer.")
-			m.proxiedByRoute = make(map[string]*metrics.Counter, len(routes))
-			for _, rt := range routes {
-				m.proxiedByRoute[rt] = reg.Counter("cdt_proxied_requests_total",
-					"Requests proxied to the owning peer, by route pattern.",
-					metrics.L("route", rt))
-			}
 			reg.GaugeFunc("cdt_leases_held", "Job leases this node currently holds.",
 				func() float64 { return float64(s.leasesHeld.Load()) })
 		}
@@ -240,8 +193,9 @@ var windowSpans = [2]struct {
 	{"5m", 5 * time.Minute, 15},
 }
 
-// registerWindows builds the rolling 1m/5m windows and exports them
-// as gauge families computed at scrape time:
+// registerWindows builds the pooled and shed rolling 1m/5m windows;
+// registerRoute adds each route's. All are exported as gauge families
+// computed at scrape time:
 //
 //	cdt_http_request_seconds_p50_{1m,5m}{route=...}  windowed latency quantiles
 //	cdt_http_request_seconds_p99_{1m,5m}{route=...}
@@ -254,30 +208,9 @@ var windowSpans = [2]struct {
 // rate() math; the windows exist so a bare scrape (or the cluster
 // overview) answers "what is p99 right now" with no PromQL engine.
 func (m *serverMetrics) registerWindows(reg *metrics.Registry) {
-	m.winLatency = make(map[string][2]*metrics.Window, len(routes))
 	for i, ws := range windowSpans {
 		m.winAll[i] = metrics.NewWindow(ws.span, ws.slots, metrics.DefLatencyBuckets)
 		m.winShed[i] = metrics.NewWindow(ws.span, ws.slots, nil)
-	}
-	for _, rt := range routes {
-		var wins [2]*metrics.Window
-		for i, ws := range windowSpans {
-			w := metrics.NewWindow(ws.span, ws.slots, metrics.DefLatencyBuckets)
-			wins[i] = w
-			lbl := metrics.L("route", rt)
-			reg.GaugeFunc(mnLatency+"_p50_"+ws.suffix,
-				"Rolling-window p50 HTTP latency in seconds, by route pattern.",
-				func() float64 { return w.Snapshot().Quantile(0.5) }, lbl)
-			reg.GaugeFunc(mnLatency+"_p99_"+ws.suffix,
-				"Rolling-window p99 HTTP latency in seconds, by route pattern.",
-				func() float64 { return w.Snapshot().Quantile(0.99) }, lbl)
-			reg.GaugeFunc("cdt_http_requests_"+ws.suffix,
-				"HTTP requests served inside the rolling window, by route pattern.",
-				func() float64 { return float64(w.Count()) }, lbl)
-		}
-		m.winLatency[rt] = wins
-	}
-	for i, ws := range windowSpans {
 		shed, all := m.winShed[i], m.winAll[i]
 		reg.GaugeFunc("cdt_http_shed_"+ws.suffix,
 			"Advance requests shed inside the rolling window.",
@@ -286,6 +219,33 @@ func (m *serverMetrics) registerWindows(reg *metrics.Registry) {
 			"Fraction of advance traffic shed inside the rolling window.",
 			func() float64 { return shedRate(shed.Count(), all.Count()) })
 	}
+}
+
+// registerRoute registers one route label's latency histogram, rolling
+// windows, and — on a clustered broker — proxy counter.
+func registerRoute(reg *metrics.Registry, label string, clustered bool) *routeMetrics {
+	lbl := metrics.L("route", label)
+	rm := &routeMetrics{
+		latency: reg.Histogram(mnLatency, "HTTP request latency in seconds, by route pattern.", nil, lbl),
+	}
+	for i, ws := range windowSpans {
+		w := metrics.NewWindow(ws.span, ws.slots, metrics.DefLatencyBuckets)
+		rm.win[i] = w
+		reg.GaugeFunc(mnLatency+"_p50_"+ws.suffix,
+			"Rolling-window p50 HTTP latency in seconds, by route pattern.",
+			func() float64 { return w.Snapshot().Quantile(0.5) }, lbl)
+		reg.GaugeFunc(mnLatency+"_p99_"+ws.suffix,
+			"Rolling-window p99 HTTP latency in seconds, by route pattern.",
+			func() float64 { return w.Snapshot().Quantile(0.99) }, lbl)
+		reg.GaugeFunc("cdt_http_requests_"+ws.suffix,
+			"HTTP requests served inside the rolling window, by route pattern.",
+			func() float64 { return float64(w.Count()) }, lbl)
+	}
+	if clustered {
+		rm.proxied = reg.Counter("cdt_proxied_requests_total",
+			"Requests proxied to the owning peer, by route pattern.", lbl)
+	}
+	return rm
 }
 
 // shedRate computes sheds/(served+sheds); shed requests never reach
@@ -332,51 +292,8 @@ func (s *Server) met() *serverMetrics {
 	return s.metrics
 }
 
-// withMetrics times every request, counts it by route pattern,
-// method, and final status code, and tracks the in-flight gauge. It
-// reuses the statusWriter the tracing layer installed (tracing wraps
-// it), creating one only when running unwrapped in tests.
-func (s *Server) withMetrics(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m := s.met()
-		route := routeOf(r.URL.Path)
-		sw, ok := w.(*statusWriter)
-		if !ok {
-			sw = &statusWriter{ResponseWriter: w}
-		}
-		m.inFlight.Add(1)
-		start := time.Now()
-		defer func() {
-			m.inFlight.Add(-1)
-			sec := time.Since(start).Seconds()
-			if h, ok := m.latency[route]; ok {
-				h.Observe(sec)
-			}
-			if wins, ok := m.winLatency[route]; ok {
-				wins[0].Observe(sec)
-				wins[1].Observe(sec)
-			}
-			m.winAll[0].Observe(sec)
-			m.winAll[1].Observe(sec)
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK // implicit 200 on first Write
-			}
-			m.reg.Counter(mnRequests, "HTTP requests served, by route pattern, method, and status.",
-				metrics.L("route", route),
-				metrics.L("method", r.Method),
-				metrics.L("code", strconv.Itoa(code))).Inc()
-		}()
-		h.ServeHTTP(sw, r)
-	})
-}
-
 // handleMetrics serves GET /metrics in Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	w.Header().Set("Content-Type", metrics.ContentType)
 	_ = s.Metrics().WritePrometheus(w)
 }

@@ -119,9 +119,6 @@ func TestShedCounterAndEnvelope(t *testing.T) {
 	if out.Error.RetryAfterS <= 0 {
 		t.Fatalf("shed envelope retry_after_s %v, want > 0", out.Error.RetryAfterS)
 	}
-	if out.Message != "" {
-		t.Fatalf("legacy top-level message %q present; wire v2 dropped it (LegacyErrors off)", out.Message)
-	}
 
 	snap := s.Metrics().Snapshot()
 	if v := snap["cdt_http_shed_total"]; v != 1 {
@@ -148,7 +145,7 @@ func TestRejectionCounters(t *testing.T) {
 		t.Fatalf("oversized body status %d, want 413", rec.Code)
 	}
 
-	ph := s.harden(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ph := s.frame(route{path: "other"}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("injected")
 	}))
 	rec = httptest.NewRecorder()
@@ -169,29 +166,82 @@ func TestRejectionCounters(t *testing.T) {
 	}
 }
 
-// TestRouteOf pins the path → route-pattern normalization that bounds
-// label cardinality.
-func TestRouteOf(t *testing.T) {
-	cases := map[string]string{
-		"/v1/healthz":              "/v1/healthz",
-		"/v1/jobs":                 "/v1/jobs",
-		"/v1/jobs/job-7":           "/v1/jobs/{id}",
-		"/v1/jobs/job-7/advance":   "/v1/jobs/{id}/advance",
-		"/v1/jobs/job-7/snapshot":  "/v1/jobs/{id}/snapshot",
-		"/v1/jobs/job-7/estimates": "/v1/jobs/{id}/estimates",
-		"/v1/jobs/job-7/events":    "/v1/jobs/{id}/events",
-		"/v1/jobs/job-7/series":    "/v1/jobs/{id}/series",
-		"/v1/jobs/job-7/bogus":     "other",
-		"/v1/game/solve":           "/v1/game/solve",
-		"/v1/stats":                "/v1/stats",
-		"/v1/cluster/overview":     "/v1/cluster/overview",
-		"/metrics":                 "/metrics",
-		"/favicon.ico":             "other",
+// TestMetricsRouteLabels drives one request per row through Handler
+// and checks its status and the route label it is counted under. Every
+// route's normal request lands on its own label; a request no route
+// matches (an extra segment, a trailing slash, a stray path) is a 404
+// under "other" and is not served; a wrong method is the JSON 405
+// under the path's own label.
+func TestMetricsRouteLabels(t *testing.T) {
+	s := New()
+	h := s.Handler()
+	a := "/v1/jobs/" + createJob(t, h).ID
+	b := "/v1/jobs/" + createJob(t, h).ID
+	const (
+		get, post, put, del = http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete
+	)
+	cases := []struct {
+		method, path, body string
+		code               int
+		route              string
+	}{
+		{get, "/v1/healthz", "", 200, "/v1/healthz"},
+		{get, "/v1/jobs", "", 200, "/v1/jobs"},
+		{post, "/v1/jobs", `{"random_sellers":6,"k":2,"rounds":10}`, 201, "/v1/jobs"},
+		{get, a, "", 200, "/v1/jobs/{id}"},
+		{post, a + "/advance", `{"rounds":2}`, 200, "/v1/jobs/{id}/advance"},
+		{post, a + "/snapshot", "", 200, "/v1/jobs/{id}/snapshot"},
+		{get, a + "/estimates", "", 200, "/v1/jobs/{id}/estimates"},
+		{get, a + "/events", "", 200, "/v1/jobs/{id}/events"},
+		{get, a + "/series?metric=revenue", "", 200, "/v1/jobs/{id}/series"},
+		{post, "/v1/game/solve", `{"sellers":[{"a":0.2,"b":0.1,"q":0.9}]}`, 200, "/v1/game/solve"},
+		{get, "/v1/stats", "", 200, "/v1/stats"},
+		{get, "/v1/cluster/overview", "", 200, "/v1/cluster/overview"},
+		{get, "/metrics", "", 200, "/metrics"},
+		{del, b, "", 200, "/v1/jobs/{id}"},
+
+		{post, a + "/advance/extra", `{"rounds":5}`, 404, "other"},
+		{get, a + "/", "", 404, "other"},
+		{get, "/favicon.ico", "", 404, "other"},
+
+		{get, "/v1/game/solve", "", 405, "/v1/game/solve"},
+		{put, a, "", 405, "/v1/jobs/{id}"},
 	}
-	for path, want := range cases {
-		if got := routeOf(path); got != want {
-			t.Errorf("routeOf(%q) = %q, want %q", path, got, want)
+	for _, tc := range cases {
+		key := `cdt_http_requests_total{code="` + strconv.Itoa(tc.code) + `",method="` + tc.method + `",route="` + tc.route + `"}`
+		before := s.Metrics().Snapshot()[key]
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		if tc.route == "/v1/jobs/{id}/events" {
+			// A stream ends when its client goes away: a cancelled
+			// request gets the 200 header and returns.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			req = req.WithContext(ctx)
 		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.code {
+			t.Errorf("%s %s: status %d, want %d (%s)", tc.method, tc.path, rec.Code, tc.code, rec.Body)
+		}
+		if tc.code >= 400 {
+			var out ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error.Code != errorCode(tc.code) {
+				t.Errorf("%s %s: envelope %q (err %v), want code %s", tc.method, tc.path, rec.Body, err, errorCode(tc.code))
+			}
+		}
+		if got := s.Metrics().Snapshot()[key] - before; got != 1 {
+			t.Errorf("%s %s: %s moved by %v, want 1", tc.method, tc.path, key, got)
+		}
+	}
+
+	// The extra-segment advance played nothing: only the 2 rounds of
+	// the real advance were played.
+	var st JobStatus
+	if err := json.Unmarshal(header(h, get, a, nil).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.NextRound != 3 || s.met().roundsAdvanced.Value() != 2 {
+		t.Fatalf("next_round %d, rounds advanced %d; want 3 and 2", st.NextRound, s.met().roundsAdvanced.Value())
 	}
 }
 

@@ -103,10 +103,6 @@ func (s *Server) nodeOverview() NodeOverview {
 }
 
 func (s *Server) handleClusterOverview(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	if r.URL.Query().Get("scope") == "node" {
 		writeJSON(w, http.StatusOK, s.nodeOverview())
 		return
@@ -162,16 +158,7 @@ func (s *Server) fetchNodeOverview(ctx context.Context, respHeader http.Header, 
 		stub.Status = fmt.Sprintf("unreachable: %v", err)
 		return stub
 	}
-	// Same trace-stitching discipline as proxyTo: the tracing
-	// middleware already minted this hop's span and wrote its
-	// traceparent and request id onto the response headers.
-	if tp := respHeader.Get("Traceparent"); tp != "" {
-		req.Header.Set("traceparent", tp)
-	}
-	if rid := respHeader.Get("X-Request-ID"); rid != "" {
-		req.Header.Set("X-Request-ID", rid)
-	}
-	req.Header.Set(forwardedByHeader, s.Cluster.NodeID)
+	s.stampHop(req, respHeader)
 
 	resp, err := s.proxyClient().Do(req)
 	if err != nil {

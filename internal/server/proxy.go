@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"time"
+
+	"cmabhs/internal/metrics"
 )
 
 // Request forwarding. A clustered broker serves any job it owns and
@@ -45,16 +47,17 @@ func (s *Server) inTransitionRetry(l *Lease) time.Duration {
 }
 
 // routeJob resolves where a job-scoped request must be served when the
-// job is not in the local registry. It returns (job, false) after a
+// job is not in the local registry. It returns the job after a
 // successful local takeover — the caller serves as if the job had been
-// local all along — or (nil, true) when the response (proxy relay,
-// 503, 404, 500) has already been written.
-func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string) (*job, bool) {
+// local all along — or nil when the response (proxy relay, 503, 404,
+// 500) has already been written. proxied counts a relay under the
+// request's route label.
+func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string, proxied *metrics.Counter) *job {
 	ls := s.leaseStore()
 	l, err := ls.LoadLease(id)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
-		return nil, true
+		return nil
 	}
 	if s.claimable(id, l) {
 		// Unowned and ours by HRW, expired and ours by succession, or
@@ -62,7 +65,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string) (*j
 		j, err := s.takeover(r.Context(), id)
 		switch {
 		case err == nil:
-			return j, false
+			return j
 		case errors.Is(err, ErrLeaseHeld):
 			// Raced another claimant between LoadLease and Acquire.
 			s.met().proxyRejected.Inc()
@@ -73,7 +76,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string) (*j
 		default:
 			httpError(w, http.StatusInternalServerError, "takeover %s: %v", id, err)
 		}
-		return nil, true
+		return nil
 	}
 
 	// Another node's job: find the peer to forward to — the recorded
@@ -85,7 +88,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string) (*j
 		// missing snapshot is a plain 404, not a forward.
 		if _, err := s.Store.Load(id); errors.Is(err, os.ErrNotExist) {
 			httpError(w, http.StatusNotFound, "no job %q", id)
-			return nil, true
+			return nil
 		}
 	}
 	target := claimantOf(s.Cluster.Peers, id, l, expired)
@@ -96,10 +99,24 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string) (*j
 		s.met().proxyRejected.Inc()
 		writeError(w, http.StatusServiceUnavailable, "ownership_transition", s.inTransitionRetry(l),
 			"job %q ownership is in transition (owner %s)", id, target.ID)
-		return nil, true
+		return nil
 	}
-	s.proxyTo(w, r, peer, l)
-	return nil, true
+	s.proxyTo(w, r, peer, l, proxied)
+	return nil
+}
+
+// stampHop marks an outbound peer request as this node's hop: the loop
+// guard, plus the CURRENT trace context and request id rather than the
+// inbound ones — the request frame already minted this hop's span and
+// wrote its traceparent (same trace id, this node's span as parent)
+// and the sanitized-or-generated request id onto respHeader.
+func (s *Server) stampHop(out *http.Request, respHeader http.Header) {
+	for _, k := range []string{"Traceparent", "X-Request-ID"} {
+		if v := respHeader.Get(k); v != "" {
+			out.Header.Set(k, v)
+		}
+	}
+	out.Header.Set(forwardedByHeader, s.Cluster.NodeID)
 }
 
 // proxyClient returns the outbound HTTP client.
@@ -114,9 +131,8 @@ func (s *Server) proxyClient() *http.Client {
 // The outbound request inherits the inbound context (and therefore its
 // deadline; /events streams are exempt upstream), the current trace
 // context, and the request id.
-func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, peer Peer, l *Lease) {
-	route := routeOf(r.URL.Path)
-	s.met().proxied(route).Inc()
+func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, peer Peer, l *Lease, proxied *metrics.Counter) {
+	proxied.Inc()
 
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, peer.URL+r.URL.RequestURI(), r.Body)
 	if err != nil {
@@ -125,17 +141,7 @@ func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, peer Peer, l *L
 	}
 	out.Header = r.Header.Clone()
 	out.ContentLength = r.ContentLength
-	// Forward the CURRENT trace context, not the inbound one: the
-	// tracing middleware already minted this hop's span and wrote its
-	// traceparent (same trace id, this node's span as parent) and the
-	// sanitized-or-generated request id onto the response headers.
-	if tp := w.Header().Get("Traceparent"); tp != "" {
-		out.Header.Set("traceparent", tp)
-	}
-	if rid := w.Header().Get("X-Request-ID"); rid != "" {
-		out.Header.Set("X-Request-ID", rid)
-	}
-	out.Header.Set(forwardedByHeader, s.Cluster.NodeID)
+	s.stampHop(out, w.Header())
 
 	resp, err := s.proxyClient().Do(out)
 	if err != nil {

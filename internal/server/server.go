@@ -5,20 +5,26 @@
 // does goes through the public cmabhs API, so the service guarantees
 // exactly what the library guarantees.
 //
-// Endpoints (all JSON):
+// Endpoints, in route-table order (see routes.go):
 //
-//	GET    /v1/healthz            liveness probe (version, uptime, state store)
-//	POST   /v1/jobs               create a job from a JobRequest (or resume one from a snapshot)
-//	GET    /v1/jobs               list job summaries
-//	GET    /v1/jobs/{id}          one job's status + cumulative result
-//	POST   /v1/jobs/{id}/advance  play up to {"rounds": n} rounds
-//	POST   /v1/jobs/{id}/snapshot durably snapshot the job, return the snapshot
+//	GET    /v1/healthz             liveness probe (version, uptime, state store)
+//	GET    /v1/jobs                list job summaries (?limit=, ?after= paging)
+//	POST   /v1/jobs                create a job from a JobRequest (or resume one from a snapshot)
+//	GET    /v1/jobs/{id}           one job's status + cumulative result
+//	DELETE /v1/jobs/{id}           drop the job (and its stored snapshot)
+//	POST   /v1/jobs/{id}/advance   play up to {"rounds": n} rounds
+//	POST   /v1/jobs/{id}/snapshot  durably snapshot the job, return the snapshot
 //	GET    /v1/jobs/{id}/estimates current quality estimates
-//	GET    /v1/jobs/{id}/events   live round-event stream (SSE; NDJSON with ?format=ndjson)
-//	GET    /v1/jobs/{id}/series   downsampled regret/revenue learning curve (see series.go)
-//	DELETE /v1/jobs/{id}          drop the job (and its stored snapshot)
-//	POST   /v1/game/solve         stateless single-round game solve
-//	GET    /v1/cluster/overview   merged per-node health/lease/latency view (see overview.go)
+//	GET    /v1/jobs/{id}/events    live round-event stream (SSE; NDJSON with ?format=ndjson)
+//	GET    /v1/jobs/{id}/series    downsampled regret/revenue learning curve (see series.go)
+//	POST   /v1/game/solve          stateless single-round game solve
+//	GET    /v1/stats               service counters (JSON view of /metrics)
+//	GET    /v1/cluster/overview    merged per-node health/lease/latency view (see overview.go)
+//	GET    /metrics                Prometheus exposition
+//
+// Every response is JSON except /metrics and the event stream; every
+// error carries the ErrorResponse envelope, including the 405 for a
+// method a path does not serve and the 404 for a path no route matches.
 //
 // Advance calls honor the request context: if the client disconnects
 // mid-advance, the job stops at the next round boundary, keeps the
@@ -27,7 +33,8 @@
 // it saturates, further advances are shed with 429 + Retry-After
 // rather than queued. Handler panics are isolated to a 500 (the
 // process keeps serving), request bodies are bounded (413 past
-// MaxBodyBytes), and RequestTimeout deadlines every request.
+// MaxBodyBytes), and RequestTimeout deadlines every request but the
+// live event stream.
 //
 // With a Store configured, the broker is durable: SaveAll snapshots
 // every live job (cdt-server calls it on graceful shutdown), LoadAll
@@ -48,7 +55,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -431,13 +437,6 @@ type Server struct {
 	// request. Reachable via Tracing().
 	Tracer *tracing.Tracer
 
-	// LegacyErrors restores the deprecated top-level "message" mirror
-	// on error envelopes for pre-envelope clients (wire revision 1).
-	// Default off: the envelope is {"error": {...}} alone. The mirror
-	// is written by the package-wide error choke point, so the setting
-	// is applied process-wide when Handler is built.
-	LegacyErrors bool
-
 	// Logger, if non-nil, receives the per-request access lines and
 	// recovery diagnostics; nil falls back to slog.Default().
 	Logger *slog.Logger
@@ -532,22 +531,6 @@ func (s *Server) pool() *engine.Pool {
 		s.advPool = engine.NewPool(n)
 	})
 	return s.advPool
-}
-
-// Handler returns the HTTP handler for the broker API, hardened with
-// request metrics, panic recovery, per-request deadlines, and
-// request-body limits (see middleware.go and metrics.go).
-func (s *Server) Handler() http.Handler {
-	legacyErrorMirror.Store(s.LegacyErrors)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/jobs", s.handleJobs)
-	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/v1/game/solve", s.handleSolveGame)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/cluster/overview", s.handleClusterOverview)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return s.harden(mux)
 }
 
 // saveToStore writes one snapshot through the configured retry
@@ -719,8 +702,7 @@ func (s *Server) flushWAL(ctx context.Context, j *job) (leaseLost bool) {
 
 // WireVersion is the documented revision of the broker's JSON wire
 // surface, reported in healthz. Revision 2 dropped the deprecated
-// top-level "message" mirror from the error envelope (restorable via
-// Server.LegacyErrors / cdt-server -legacy-errors) and added
+// top-level "message" mirror from the error envelope and added
 // ?limit=/?after= paging to GET /v1/jobs.
 const WireVersion = 2
 
@@ -833,10 +815,6 @@ type StatsResponse struct {
 
 // handleStats reports service counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	m := s.met()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		JobsLive:        int64(s.registry().len()),
@@ -847,91 +825,84 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req JobRequest
-		if !s.decodeJSON(w, r, &req) {
-			return
-		}
-		var sess *cmabhs.Session
-		if len(req.Snapshot) > 0 {
-			// Resume a saved session; its configuration travels inside
-			// the snapshot.
-			var err error
-			sess, err = cmabhs.ResumeSession(req.Snapshot)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		} else {
-			cfg, err := req.config()
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			if req.K <= 0 || req.Rounds <= 0 {
-				httpError(w, http.StatusBadRequest, "k and rounds must be positive")
-				return
-			}
-			sess, err = cmabhs.NewSession(cfg)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-		reg := s.registry()
-		j := s.newJob(reg.allocID(), sess)
-		if s.clustered() {
-			// A job is born owned: its lease is taken before anything
-			// is persisted or published, so a peer scanning the shared
-			// store never adopts a half-created job.
-			lease, err := s.leaseStore().AcquireLease(j.id, s.Cluster.NodeID, s.Cluster.ttl())
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			j.lease = &lease
-		}
-		if wal := s.wal(); wal != nil {
-			// Round-granular durability starts at birth: persist the
-			// base snapshot and open the job's WAL segment before the
-			// job is reachable, so a kill -9 one round after creation
-			// already recovers the job.
-			if err := s.bootstrapWAL(r.Context(), j, wal); err != nil {
-				if j.lease != nil {
-					_ = s.leaseStore().ReleaseLease(j.id, j.lease.Owner, j.lease.Epoch)
-				}
-				httpError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-		}
-		if !reg.putIfBelow(j, s.MaxJobs) {
-			if s.Store != nil {
-				// Roll back the bootstrap snapshot + segment (and, in
-				// cluster mode, the lease record alongside them).
-				_ = s.Store.Delete(j.id)
-			}
-			httpError(w, http.StatusTooManyRequests, "job limit (%d) reached", s.MaxJobs)
-			return
-		}
-		if j.lease != nil {
-			s.leasesHeld.Add(1)
-		}
-		s.met().jobsCreated.Inc()
-		// The job is published: take its lock before reading state, a
-		// concurrent advance may already be running.
-		j.mu.Lock()
-		st := s.statusLocked(j)
-		j.mu.Unlock()
-		writeJSON(w, http.StatusCreated, st)
-
-	case http.MethodGet:
-		s.handleListJobs(w, r)
-
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "use GET or POST")
+// handleCreateJob serves POST /v1/jobs: a fresh job from the request
+// config, or a resumed one from an embedded snapshot.
+func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	if !s.decodeJSON(w, r, &req) {
+		return
 	}
+	var sess *cmabhs.Session
+	if len(req.Snapshot) > 0 {
+		// Resume a saved session; its configuration travels inside
+		// the snapshot.
+		var err error
+		sess, err = cmabhs.ResumeSession(req.Snapshot)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	} else {
+		cfg, err := req.config()
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if req.K <= 0 || req.Rounds <= 0 {
+			httpError(w, http.StatusBadRequest, "k and rounds must be positive")
+			return
+		}
+		sess, err = cmabhs.NewSession(cfg)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
+	reg := s.registry()
+	j := s.newJob(reg.allocID(), sess)
+	if s.clustered() {
+		// A job is born owned: its lease is taken before anything
+		// is persisted or published, so a peer scanning the shared
+		// store never adopts a half-created job.
+		lease, err := s.leaseStore().AcquireLease(j.id, s.Cluster.NodeID, s.Cluster.ttl())
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		j.lease = &lease
+	}
+	if wal := s.wal(); wal != nil {
+		// Round-granular durability starts at birth: persist the
+		// base snapshot and open the job's WAL segment before the
+		// job is reachable, so a kill -9 one round after creation
+		// already recovers the job.
+		if err := s.bootstrapWAL(r.Context(), j, wal); err != nil {
+			if j.lease != nil {
+				_ = s.leaseStore().ReleaseLease(j.id, j.lease.Owner, j.lease.Epoch)
+			}
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	}
+	if !reg.putIfBelow(j, s.MaxJobs) {
+		if s.Store != nil {
+			// Roll back the bootstrap snapshot + segment (and, in
+			// cluster mode, the lease record alongside them).
+			_ = s.Store.Delete(j.id)
+		}
+		httpError(w, http.StatusTooManyRequests, "job limit (%d) reached", s.MaxJobs)
+		return
+	}
+	if j.lease != nil {
+		s.leasesHeld.Add(1)
+	}
+	s.met().jobsCreated.Inc()
+	// The job is published: take its lock before reading state, a
+	// concurrent advance may already be running.
+	j.mu.Lock()
+	st := s.statusLocked(j)
+	j.mu.Unlock()
+	writeJSON(w, http.StatusCreated, st)
 }
 
 // handleListJobs serves GET /v1/jobs with optional ?limit= / ?after=
@@ -981,163 +952,132 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	parts := strings.Split(rest, "/")
-	id := parts[0]
-	j, ok := s.registry().get(id)
-	if !ok && s.clustered() {
-		// Not served here — but in a cluster "here" is one node of
-		// many: take the job over if this node may claim it, or proxy
-		// the request to the node that owns it (see proxy.go).
-		var handled bool
-		j, handled = s.routeJob(w, r, id)
-		if handled {
+func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request, j *job) {
+	j.mu.Lock()
+	st := s.statusLocked(j)
+	j.mu.Unlock()
+	writeJSON(w, http.StatusOK, st)
+}
+
+func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request, j *job) {
+	if removed := s.registry().remove(j.id); removed != nil && removed.leaseFor() != nil {
+		s.leasesHeld.Add(-1)
+	}
+	if s.Store != nil {
+		// Store.Delete also removes the job's lease record, so a
+		// deleted job leaves no ownership to dispute.
+		if err := s.Store.Delete(j.id); err != nil {
+			httpError(w, http.StatusInternalServerError, "job dropped but snapshot not deleted: %v", err)
 			return
 		}
-		ok = j != nil
 	}
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: j.id})
+}
+
+func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, j *job) {
+	var req AdvanceRequest
+	if r.ContentLength != 0 {
+		if !s.decodeJSON(w, r, &req) {
+			return
+		}
+	}
+	if req.Rounds <= 0 {
+		req.Rounds = 1
+	}
+	if req.Rounds > s.MaxAdvance {
+		req.Rounds = s.MaxAdvance
+	}
+	// Load shedding: a saturated advance pool rejects immediately
+	// with a retry hint rather than queueing the request — bounded
+	// latency for the requests that are admitted, explicit
+	// backpressure for the ones that are not. The acquisition
+	// attempt gets its own span so a trace shows whether a request
+	// was admitted or shed, and against how much contention.
+	_, poolSpan := s.Tracing().StartSpan(r.Context(), "pool.acquire")
+	acquired := s.pool().TryAcquire()
+	poolSpan.SetAttr("acquired", acquired)
+	poolSpan.SetAttr("in_flight", s.pool().InUse())
+	poolSpan.End()
+	if !acquired {
+		hint := s.ShedRetryAfter
+		if hint <= 0 {
+			hint = time.Second
+		}
+		s.met().recordShed()
+		writeError(w, http.StatusTooManyRequests, "saturated", hint,
+			"advance capacity saturated (%d in flight); retry after %s", s.pool().InUse(), retryAfter(hint)+"s")
 		return
 	}
-	action := ""
-	if len(parts) > 1 {
-		action = parts[1]
+	defer s.pool().Release()
+	start := time.Now()
+	j.mu.Lock()
+	j.traceHook = s.roundSpanHook(r.Context(), j.id)
+	adv, err := j.sess.AdvanceContext(r.Context(), req.Rounds)
+	j.traceHook = nil
+	j.recordAdvance(len(adv.Played), time.Since(start))
+	var leaseLost bool
+	if j.walLog {
+		// Flush the rounds the observer buffered to the WAL and
+		// fold the tail into a snapshot once it is long enough.
+		// Still under j.mu: the segment must see rounds in play
+		// order, and a compaction snapshot must not interleave
+		// with another advance.
+		leaseLost = s.flushWAL(r.Context(), j)
 	}
-	switch {
-	case action == "" && r.Method == http.MethodGet:
-		j.mu.Lock()
-		st := s.statusLocked(j)
-		j.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+	st := s.statusLocked(j)
+	j.mu.Unlock()
+	if leaseLost {
+		// The lease was stolen mid-advance: the successor owns the
+		// job now. Evict it here and tell the client to re-resolve
+		// (a retry will be proxied to the new owner).
+		s.evictLostJob(j, ErrLeaseLost)
+		writeError(w, http.StatusServiceUnavailable, "lease_lost", s.inTransitionRetry(nil),
+			"job %q moved to another node mid-advance; retry", j.id)
+		return
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	s.met().roundsAdvanced.Add(uint64(len(adv.Played)))
+	writeJSON(w, http.StatusOK, AdvanceResponse{Played: adv.Played, Stopped: adv.Stopped, Status: st})
+}
 
-	case action == "" && r.Method == http.MethodDelete:
-		if removed := s.registry().remove(id); removed != nil && removed.leaseFor() != nil {
-			s.leasesHeld.Add(-1)
-		}
-		if s.Store != nil {
-			// Store.Delete also removes the job's lease record, so a
-			// deleted job leaves no ownership to dispute.
-			if err := s.Store.Delete(id); err != nil {
-				httpError(w, http.StatusInternalServerError, "job dropped but snapshot not deleted: %v", err)
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, j *job) {
+	j.mu.Lock()
+	data, err := j.sess.Save()
+	l := j.lease
+	j.mu.Unlock()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	persisted := false
+	if s.Store != nil {
+		if err := s.saveToStore(r.Context(), j.id, data, l); err != nil {
+			if errors.Is(err, ErrLeaseLost) {
+				s.evictLostJob(j, err)
+				writeError(w, http.StatusServiceUnavailable, "lease_lost", s.inTransitionRetry(nil),
+					"job %q moved to another node: %v", j.id, err)
 				return
 			}
-		}
-		writeJSON(w, http.StatusOK, DeleteResponse{Deleted: id})
-
-	case action == "advance" && r.Method == http.MethodPost:
-		var req AdvanceRequest
-		if r.ContentLength != 0 {
-			if !s.decodeJSON(w, r, &req) {
-				return
-			}
-		}
-		if req.Rounds <= 0 {
-			req.Rounds = 1
-		}
-		if req.Rounds > s.MaxAdvance {
-			req.Rounds = s.MaxAdvance
-		}
-		// Load shedding: a saturated advance pool rejects immediately
-		// with a retry hint rather than queueing the request — bounded
-		// latency for the requests that are admitted, explicit
-		// backpressure for the ones that are not. The acquisition
-		// attempt gets its own span so a trace shows whether a request
-		// was admitted or shed, and against how much contention.
-		_, poolSpan := s.Tracing().StartSpan(r.Context(), "pool.acquire")
-		acquired := s.pool().TryAcquire()
-		poolSpan.SetAttr("acquired", acquired)
-		poolSpan.SetAttr("in_flight", s.pool().InUse())
-		poolSpan.End()
-		if !acquired {
-			hint := s.ShedRetryAfter
-			if hint <= 0 {
-				hint = time.Second
-			}
-			s.met().recordShed()
-			writeError(w, http.StatusTooManyRequests, "saturated", hint,
-				"advance capacity saturated (%d in flight); retry after %s", s.pool().InUse(), retryAfter(hint)+"s")
-			return
-		}
-		defer s.pool().Release()
-		start := time.Now()
-		j.mu.Lock()
-		j.traceHook = s.roundSpanHook(r.Context(), id)
-		adv, err := j.sess.AdvanceContext(r.Context(), req.Rounds)
-		j.traceHook = nil
-		j.recordAdvance(len(adv.Played), time.Since(start))
-		var leaseLost bool
-		if j.walLog {
-			// Flush the rounds the observer buffered to the WAL and
-			// fold the tail into a snapshot once it is long enough.
-			// Still under j.mu: the segment must see rounds in play
-			// order, and a compaction snapshot must not interleave
-			// with another advance.
-			leaseLost = s.flushWAL(r.Context(), j)
-		}
-		st := s.statusLocked(j)
-		j.mu.Unlock()
-		if leaseLost {
-			// The lease was stolen mid-advance: the successor owns the
-			// job now. Evict it here and tell the client to re-resolve
-			// (a retry will be proxied to the new owner).
-			s.evictLostJob(j, ErrLeaseLost)
-			writeError(w, http.StatusServiceUnavailable, "lease_lost", s.inTransitionRetry(nil),
-				"job %q moved to another node mid-advance; retry", id)
-			return
-		}
-		if err != nil {
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		s.met().roundsAdvanced.Add(uint64(len(adv.Played)))
-		writeJSON(w, http.StatusOK, AdvanceResponse{Played: adv.Played, Stopped: adv.Stopped, Status: st})
-
-	case action == "snapshot" && r.Method == http.MethodPost:
-		j.mu.Lock()
-		data, err := j.sess.Save()
-		l := j.lease
-		j.mu.Unlock()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		persisted := false
-		if s.Store != nil {
-			if err := s.saveToStore(r.Context(), id, data, l); err != nil {
-				if errors.Is(err, ErrLeaseLost) {
-					s.evictLostJob(j, err)
-					writeError(w, http.StatusServiceUnavailable, "lease_lost", s.inTransitionRetry(nil),
-						"job %q moved to another node: %v", id, err)
-					return
-				}
-				httpError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			persisted = true
-		}
-		writeJSON(w, http.StatusOK, SnapshotResponse{
-			ID:        id,
-			Persisted: persisted,
-			Snapshot:  json.RawMessage(data),
-		})
-
-	case action == "events" && r.Method == http.MethodGet:
-		s.handleJobEvents(w, r, j)
-
-	case action == "series" && r.Method == http.MethodGet:
-		s.handleJobSeries(w, r, j)
-
-	case action == "estimates" && r.Method == http.MethodGet:
-		j.mu.Lock()
-		est := j.sess.Estimates()
-		j.mu.Unlock()
-		writeJSON(w, http.StatusOK, EstimatesResponse{ID: id, Estimates: est})
-
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "unsupported %s on %q", r.Method, r.URL.Path)
+		persisted = true
 	}
+	writeJSON(w, http.StatusOK, SnapshotResponse{
+		ID:        j.id,
+		Persisted: persisted,
+		Snapshot:  json.RawMessage(data),
+	})
+}
+
+func (s *Server) handleEstimates(w http.ResponseWriter, r *http.Request, j *job) {
+	j.mu.Lock()
+	est := j.sess.Estimates()
+	j.mu.Unlock()
+	writeJSON(w, http.StatusOK, EstimatesResponse{ID: j.id, Estimates: est})
 }
 
 // SnapshotResponse returns a job's durable snapshot. The Snapshot
@@ -1395,10 +1335,6 @@ type SolveGameRequest struct {
 }
 
 func (s *Server) handleSolveGame(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	var req SolveGameRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -1523,21 +1459,9 @@ type ErrorBody struct {
 // (wire revision 2, see WireVersion):
 //
 //	{"error": {"code": "...", "message": "...", "retry_after_s": n}}
-//
-// Wire revision 1 additionally mirrored error.message at the top
-// level for clients written against the pre-envelope format; the
-// mirror is gone by default and comes back only behind
-// Server.LegacyErrors (cdt-server -legacy-errors).
 type ErrorResponse struct {
-	Error   ErrorBody `json:"error"`
-	Message string    `json:"message,omitempty"`
+	Error ErrorBody `json:"error"`
 }
-
-// legacyErrorMirror gates the deprecated top-level message mirror.
-// It is package-wide (writeError is a free function shared by every
-// handler path); Handler() applies the owning Server's LegacyErrors
-// setting when the handler chain is built.
-var legacyErrorMirror atomic.Bool
 
 // writeError is the single choke point for error responses: every
 // handler path goes through it (usually via httpError) so the envelope
@@ -1550,11 +1474,7 @@ func writeError(w http.ResponseWriter, status int, code string, after time.Durat
 		body.RetryAfterS = after.Seconds()
 		w.Header().Set("Retry-After", retryAfter(after))
 	}
-	resp := ErrorResponse{Error: body}
-	if legacyErrorMirror.Load() {
-		resp.Message = body.Message
-	}
-	writeJSON(w, status, resp)
+	writeJSON(w, status, ErrorResponse{Error: body})
 }
 
 // httpError writes the envelope with the default code for the status.

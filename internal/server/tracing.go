@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"log/slog"
-	"net/http"
 	"strings"
 	"time"
 
@@ -11,16 +10,16 @@ import (
 	"cmabhs/internal/tracing"
 )
 
-// This file is the broker's request-correlation layer: every request
-// gets a trace span (outermost in the middleware chain, so sheds,
-// body rejections, and recovered panics are all captured), a
-// sanitized-or-generated X-Request-ID echoed on every response
-// including the error-envelope paths, W3C traceparent ingest so a
-// caller's trace id is joined rather than replaced, and one
-// structured access-log line per request carrying trace_id, route,
-// code, and duration. Child spans cover advance-pool acquisition,
-// store writes (one span event per retry attempt), and — through the
-// round-observer adapter below — each trading round played.
+// This file holds the broker's tracing helpers. The request frame
+// (frame.go) opens one span per request — first, so sheds, body
+// rejections, and recovered panics are all captured — echoes a
+// sanitized-or-generated X-Request-ID on every response including the
+// error-envelope paths, joins a caller's W3C traceparent rather than
+// replacing it, and writes one structured access-log line per request
+// carrying trace_id, route, code, and duration. Child spans cover
+// advance-pool acquisition, store writes (one span event per retry
+// attempt), and — through the round-observer adapter below — each
+// trading round played.
 
 // maxRequestIDLen caps an accepted caller-supplied X-Request-ID.
 const maxRequestIDLen = 64
@@ -69,49 +68,6 @@ func sanitizeRequestID(id string) string {
 		}
 	}
 	return b.String()
-}
-
-// withTracing is the outermost middleware: it assigns the request id
-// and trace span before anything can reject the request, so every
-// response — 2xx, shed 429, 413, recovered 500 — carries both.
-func (s *Server) withTracing(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := s.Tracing()
-		reqID := sanitizeRequestID(r.Header.Get("X-Request-ID"))
-		if reqID == "" {
-			reqID = tr.NewRequestID()
-		}
-		ctx := r.Context()
-		if tid, sid, ok := tracing.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx = tracing.ContextWithRemote(ctx, tid, sid)
-		}
-		route := routeOf(r.URL.Path)
-		ctx, span := tr.StartSpan(ctx, "http "+r.Method+" "+route)
-		span.SetAttr("route", route)
-		span.SetAttr("method", r.Method)
-		span.SetAttr("request_id", reqID)
-		w.Header().Set("X-Request-ID", reqID)
-		w.Header().Set("Traceparent", tracing.FormatTraceparent(span.TraceID(), span.SpanID()))
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		defer func() {
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK
-			}
-			span.SetAttr("code", code)
-			span.End()
-			s.logger().LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("trace_id", span.TraceID().String()),
-				slog.String("request_id", reqID),
-				slog.String("route", route),
-				slog.String("method", r.Method),
-				slog.Int("code", code),
-				slog.Duration("duration", time.Since(start)),
-			)
-		}()
-		h.ServeHTTP(sw, r.WithContext(ctx))
-	})
 }
 
 // roundSpanHook builds the tracing RoundObserver adapter for one

@@ -88,7 +88,7 @@ func TestRequestIDEchoedOnEveryPath(t *testing.T) {
 	}
 
 	// 500: a recovered panic behind the same middleware chain.
-	ph := s.harden(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }))
+	ph := s.frame(route{path: "other"}, http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }))
 	rec = httptest.NewRecorder()
 	req = httptest.NewRequest(http.MethodGet, "/v1/poison", nil)
 	req.Header.Set("X-Request-ID", "id-500")
