@@ -117,15 +117,34 @@ func (a *Arms) ActiveIndices() []int {
 //	q̂_i = q̄_i + sqrt((K+1)·ln(Σ_j n_j) / n_i)
 //
 // Unobserved arms get +Inf so they are always explored first;
-// deactivated arms get -Inf so they are never selected.
-func (a *Arms) UCB(i, k int) float64 {
+// deactivated arms get -Inf so they are never selected. Callers that
+// rank many arms in one round should take UCBFactor once and call
+// UCBAt per arm: the result is bit-identical.
+func (a *Arms) UCB(i, k int) float64 { return a.UCBAt(i, a.UCBFactor(k)) }
+
+// UCBFactor returns the round factor (K+1)·max(ln Σ_j n_j, 0) shared by
+// every arm's Eq. 19 confidence term. It depends only on K and the
+// total count, so a round derives it once instead of once per arm.
+func (a *Arms) UCBFactor(k int) float64 {
+	logTotal := math.Log(float64(a.total))
+	if logTotal < 0 {
+		logTotal = 0
+	}
+	return float64(k+1) * logTotal
+}
+
+// UCBAt returns arm i's Eq. 19 index q̄_i + sqrt(factor/n_i) at a round
+// factor taken from UCBFactor, with UCB's ±Inf for unobserved and
+// deactivated arms. This is the one evaluation of the index: UCB,
+// the selection policies and the observer snapshot all go through it.
+func (a *Arms) UCBAt(i int, factor float64) float64 {
 	if a.inactive[i] {
 		return math.Inf(-1)
 	}
 	if a.count[i] == 0 {
 		return math.Inf(1)
 	}
-	return a.mean[i] + a.Confidence(i, k)
+	return a.mean[i] + math.Sqrt(factor/float64(a.count[i]))
 }
 
 // Confidence returns the additive exploration term ε_i of Eq. 19
@@ -134,11 +153,7 @@ func (a *Arms) Confidence(i, k int) float64 {
 	if a.count[i] == 0 {
 		return math.Inf(1)
 	}
-	logTotal := math.Log(float64(a.total))
-	if logTotal < 0 {
-		logTotal = 0
-	}
-	return math.Sqrt(float64(k+1) * logTotal / float64(a.count[i]))
+	return math.Sqrt(a.UCBFactor(k) / float64(a.count[i]))
 }
 
 // UCB1 returns the classic single-play UCB1 index (exploration term

@@ -100,6 +100,49 @@ func TestUCBProperties(t *testing.T) {
 	}
 }
 
+// TestUCBAtMatchesPerArmFormula: the once-per-round factor reproduces
+// the per-arm Eq. 19 expression bit for bit, ±Inf markers included.
+func TestUCBAtMatchesPerArmFormula(t *testing.T) {
+	src := rand.New(rand.NewSource(3))
+	arms := NewArms(40)
+	for i := 0; i < arms.M(); i++ {
+		if i%7 == 0 {
+			continue // leave some arms unobserved
+		}
+		obs := make([]float64, 1+i%5)
+		for l := range obs {
+			obs[l] = src.Float64()
+		}
+		arms.Update(i, obs)
+	}
+	arms.Deactivate(3)
+	arms.Deactivate(14) // unobserved and withdrawn: -Inf wins
+	for _, k := range []int{1, 5, 10} {
+		factor := arms.UCBFactor(k)
+		logTotal := math.Log(float64(arms.TotalCount()))
+		for i := 0; i < arms.M(); i++ {
+			var want float64
+			switch {
+			case !arms.Active(i):
+				want = math.Inf(-1)
+			case arms.Count(i) == 0:
+				want = math.Inf(1)
+			default:
+				want = arms.Mean(i) + math.Sqrt(float64(k+1)*logTotal/float64(arms.Count(i)))
+			}
+			if got := arms.UCBAt(i, factor); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k=%d arm %d: UCBAt %v, per-arm formula %v", k, i, got, want)
+			}
+			if got := arms.UCB(i, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k=%d arm %d: UCB %v, per-arm formula %v", k, i, got, want)
+			}
+		}
+	}
+	if f := NewArms(2).UCBFactor(4); f != 0 {
+		t.Errorf("factor with no observations = %v, want 0", f)
+	}
+}
+
 // TestUCBConfidenceShrinks: the exploration term vanishes as an arm
 // is observed more, so UCB converges to the sample mean.
 func TestUCBConfidenceShrinks(t *testing.T) {

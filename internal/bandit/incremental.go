@@ -73,9 +73,10 @@ const (
 // steady state instead of an O(M log M) re-rank.
 //
 // Every emitted arm is scored by the exact index UCBGreedy ranks
-// (bit-for-bit: the policy reuses Arms.Confidence's own (K+1)·ln Σn_j
-// product), and node bounds only ever prune subtrees strictly below
-// the current K-th best exact index, so the selection — and with it
+// (bit-for-bit: leaves are evaluated by Arms.UCBAt at the round's
+// Arms.UCBFactor, the pair Arms.UCB itself is built on), and node
+// bounds only ever prune subtrees strictly below the current K-th
+// best exact index, so the selection — and with it
 // baselines, snapshots, and chaos bit-identity — is exactly that of
 // UCBGreedy. TopK over the dense score vector stays the oracle in the
 // property tests.
@@ -148,18 +149,10 @@ func (p *IncrementalUCB) SelectK(round int, arms *Arms, k int) []int {
 	if k <= 0 || k > arms.M() {
 		panic(fmt.Sprintf("bandit: TopK k=%d with %d arms", k, arms.M()))
 	}
-	// The round-dependent factor of every Eq. 19 confidence term,
-	// computed exactly as Arms.Confidence does — leaf indices are
-	// mean + sqrt(a/n) with this very product, so they match
+	// The round-dependent factor of every Eq. 19 confidence term:
+	// leaf indices are Arms.UCBAt at this very factor, so they match
 	// Arms.UCB bit-for-bit without re-deriving ln Σn_j per leaf.
-	var a float64
-	if total := arms.TotalCount(); total > 0 {
-		logTotal := math.Log(float64(total))
-		if logTotal < 0 {
-			logTotal = 0
-		}
-		a = float64(k+1) * logTotal
-	}
+	a := arms.UCBFactor(k)
 	sqrtA := math.Sqrt(a)
 	p.sync(arms, k, a, sqrtA)
 
@@ -260,23 +253,9 @@ func (p *IncrementalUCB) childScore(n int, arms *Arms, a, sqrtA float64) float64
 		if i >= p.m {
 			return math.Inf(-1)
 		}
-		return leafUCB(arms, i, a)
+		return arms.UCBAt(i, a)
 	}
 	return p.bound(n, sqrtA)
-}
-
-// leafUCB evaluates arm i's exact Eq. 19 index given the precomputed
-// a = (K+1)·ln Σn_j, bit-identical to Arms.UCB (same product, same
-// division, same square root).
-func leafUCB(arms *Arms, i int, a float64) float64 {
-	if !arms.Active(i) {
-		return math.Inf(-1)
-	}
-	n := arms.Count(i)
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return arms.Mean(i) + math.Sqrt(a/float64(n))
 }
 
 // bound returns the admissible upper bound of node n's subtree at the
@@ -404,7 +383,7 @@ func (p *IncrementalUCB) rebuild(arms *Arms, k int, a, sqrtA float64) {
 // until they drift.
 func (p *IncrementalUCB) setLeaf(arms *Arms, i int, a, sqrtA float64) {
 	n := p.base + i
-	p.val[n] = leafUCB(arms, i, a)
+	p.val[n] = arms.UCBAt(i, a)
 	p.atSqrtA[n] = sqrtA
 	if c := arms.Count(i); c > 0 && arms.Active(i) {
 		p.rate[n] = (1 + slackRel) / math.Sqrt(float64(c))

@@ -31,8 +31,9 @@ func (UCBGreedy) Name() string { return "CMAB-HS" }
 // SelectK implements Policy.
 func (UCBGreedy) SelectK(round int, arms *Arms, k int) []int {
 	scores := make([]float64, arms.M())
+	factor := arms.UCBFactor(k)
 	for i := range scores {
-		scores[i] = arms.UCB(i, k)
+		scores[i] = arms.UCBAt(i, factor)
 	}
 	return TopK(scores, k)
 }

@@ -282,3 +282,72 @@ func TestObserverBitIdentityPublicSession(t *testing.T) {
 		t.Fatalf("observer saw %d events over %d rounds", events, ref.Rounds)
 	}
 }
+
+// ucbSpy records, for every round it selects in, the Eq. 19 index of
+// each arm exactly as Arms.UCB returns it (NaN for withdrawn arms, the
+// snapshot's marker), then delegates the selection.
+type ucbSpy struct {
+	inner bandit.Policy
+	seen  map[int][]float64
+}
+
+func (s *ucbSpy) Name() string { return s.inner.Name() }
+
+func (s *ucbSpy) SelectK(round int, arms *bandit.Arms, k int) []int {
+	rec := make([]float64, arms.M())
+	for i := range rec {
+		if arms.Active(i) {
+			rec[i] = arms.UCB(i, k)
+		} else {
+			rec[i] = math.NaN()
+		}
+	}
+	s.seen[round] = rec
+	return s.inner.SelectK(round, arms, k)
+}
+
+// TestObserverUCBMatchesArms: the observer's per-round index snapshot
+// derives ln Σn once per round, and must still equal Arms.UCB bit for
+// bit for every seller, including after churn has withdrawn some.
+func TestObserverUCBMatchesArms(t *testing.T) {
+	s := Scenario{M: 12, K: 4, Rounds: 200, Seed: 5, Faults: allFaults(23)}
+	spy := &ucbSpy{inner: bandit.UCBGreedy{}, seen: map[int][]float64{}}
+	cfg := s.Config()
+	checked, withdrawn := 0, 0
+	cfg.Observer = func(ev *core.RoundEvent) {
+		if ev.UCB == nil {
+			return // exploration round: nothing was ranked
+		}
+		want, ok := spy.seen[ev.Round]
+		if !ok {
+			t.Fatalf("round %d: observer saw indices the policy never ranked", ev.Round)
+		}
+		if len(ev.UCB) != len(want) {
+			t.Fatalf("round %d: %d indices, want %d", ev.Round, len(ev.UCB), len(want))
+		}
+		for i, got := range ev.UCB {
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d seller %d: observer index %v, Arms.UCB %v", ev.Round, i, got, want[i])
+			}
+			if math.IsNaN(got) {
+				withdrawn++
+			}
+		}
+		checked++
+	}
+	m, err := core.NewMechanism(cfg, spy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !m.Done() {
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if checked != len(spy.seen) || checked < s.Rounds/2 {
+		t.Fatalf("checked %d rounds, policy ranked %d", checked, len(spy.seen))
+	}
+	if withdrawn == 0 {
+		t.Fatal("no seller churned out; the scenario does not cover withdrawn arms")
+	}
+}

@@ -12,8 +12,9 @@ import (
 // churn schedule, incremental top-K selection, the closed-form
 // Stackelberg game, collection, settlement, estimator updates, and
 // observer dispatch — performs zero heap allocations. (The ledger
-// journal still grows, but its amortized doubling stays below one
-// allocation per round and so rounds to zero here.)
+// journal of 32-byte id records still grows, but its amortized
+// doubling stays below one allocation per round and so rounds to zero
+// here.)
 func TestAdvanceSteadyStateAllocFree(t *testing.T) {
 	cfg, _ := testConfig(t, 300, 10, 1<<30, 3, 9)
 	var observed int
@@ -38,6 +39,40 @@ func TestAdvanceSteadyStateAllocFree(t *testing.T) {
 	}
 	if observed != m.Round()-1 {
 		t.Fatalf("observer saw round %d, mechanism at %d", observed, m.Round())
+	}
+}
+
+// BenchmarkObservedRound times one steady-state round at m300/k10,
+// unobserved and with an observer attached. The difference is the
+// observer fan-out the mechanism pays itself, chiefly the Eq. 19 index
+// snapshot of all M sellers.
+func BenchmarkObservedRound(b *testing.B) {
+	for _, observed := range []bool{false, true} {
+		name := "observer=off"
+		if observed {
+			name = "observer=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg, _ := buildTestConfig(300, 10, 1<<30, 10, 9)
+			if observed {
+				cfg.Observer = func(*RoundEvent) {}
+			}
+			m, err := NewMechanism(cfg, bandit.NewIncrementalUCB())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			if _, _, err := m.AdvanceN(ctx, 50, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.AdvanceN(ctx, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

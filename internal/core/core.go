@@ -569,12 +569,14 @@ func (m *Mechanism) gameRound(t int) (*RoundRecord, error) {
 		// Snapshot the Eq. 19 indices the selection is about to rank.
 		// Pure reads of the estimator state: computing them perturbs
 		// nothing, and they are skipped entirely without an observer.
+		// ln Σn is taken once for the round, not once per arm.
 		if len(m.obsUCB) != m.cfg.Market.M() {
 			m.obsUCB = make([]float64, m.cfg.Market.M())
 		}
+		factor := m.arms.UCBFactor(k)
 		for i := range m.obsUCB {
 			if m.arms.Active(i) {
-				m.obsUCB[i] = m.arms.UCB(i, k)
+				m.obsUCB[i] = m.arms.UCBAt(i, factor)
 			} else {
 				m.obsUCB[i] = math.NaN()
 			}

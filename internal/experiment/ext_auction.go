@@ -154,8 +154,9 @@ func runAuctionMarket(inst *Instance, k, horizon int) (*auctionMetrics, error) {
 
 	ucb := make([]float64, m)
 	for t := 2; t <= horizon; t++ {
+		factor := arms.UCBFactor(k)
 		for i := range ucb {
-			u := arms.UCB(i, k)
+			u := arms.UCBAt(i, factor)
 			if u > 1 {
 				u = 1
 			}

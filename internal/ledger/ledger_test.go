@@ -2,8 +2,10 @@ package ledger
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTransferBasics(t *testing.T) {
@@ -147,5 +149,120 @@ func TestEntriesIsCopy(t *testing.T) {
 func TestSellerAccountNames(t *testing.T) {
 	if Seller(0) != "seller-0" || Seller(42) != "seller-42" {
 		t.Error("unexpected seller account format")
+	}
+}
+
+// TestZeroValueLedger: the zero Ledger is ready to use — every
+// operation works without New, and reads of an empty ledger are empty.
+func TestZeroValueLedger(t *testing.T) {
+	var l Ledger
+	if l.Balance(Consumer) != 0 || len(l.Accounts()) != 0 || l.Entries() != nil || l.Commission(1) != 0 {
+		t.Fatal("empty zero-value ledger reports state")
+	}
+	if err := l.Transfer(1, Consumer, Platform, 2, "reward"); err != nil {
+		t.Fatal(err)
+	}
+	var settled Ledger
+	if err := settled.SettleRoundSorted(1, 5, []int{0, 3}, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if l.Balance(Platform) != 2 || settled.Balance(Seller(3)) != 2 || settled.Commission(1) != 2 {
+		t.Fatalf("balances %v / %v", l.Balance(Platform), settled.Balance(Seller(3)))
+	}
+	var restored Ledger
+	if err := restored.Restore(settled.State()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Entries(), settled.Entries()) {
+		t.Fatal("zero-value Restore diverged")
+	}
+}
+
+// TestRejectedOpsLeaveLedgerUntouched: a rejected Transfer or
+// settlement changes nothing observable — no journal entry, no
+// balance, and no newly touched account, even when the rejected call
+// names accounts the ledger has never seen.
+func TestRejectedOpsLeaveLedgerUntouched(t *testing.T) {
+	l := New()
+	if err := l.Transfer(1, Consumer, Platform, 3, "reward"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SettleRoundSorted(1, 4, []int{1, 2}, []float64{1, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	probe := []Account{Consumer, Platform, Seller(1), Seller(2), Seller(7), Seller(9), "stranger", "other"}
+	accounts, entries := l.Accounts(), l.Entries()
+	balances := make([]float64, len(probe))
+	for i, a := range probe {
+		balances[i] = l.Balance(a)
+	}
+	rejected := map[string]func() error{
+		"negative transfer": func() error { return l.Transfer(2, "stranger", "other", -1, "new memo") },
+		"NaN transfer":      func() error { return l.Transfer(2, "stranger", Platform, math.NaN(), "") },
+		"Inf transfer":      func() error { return l.Transfer(2, Consumer, "other", math.Inf(1), "") },
+		"negative reward":   func() error { return l.SettleRoundSorted(2, -1, []int{7}, []float64{1}) },
+		"NaN reward":        func() error { return l.SettleRoundSorted(2, math.NaN(), []int{7}, []float64{1}) },
+		"NaN payment":       func() error { return l.SettleRoundSorted(2, 1, []int{7, 9}, []float64{1, math.NaN()}) },
+		"negative payment":  func() error { return l.SettleRoundSorted(2, 1, []int{7}, []float64{-0.5}) },
+		"unsorted ids":      func() error { return l.SettleRoundSorted(2, 1, []int{9, 7}, []float64{1, 1}) },
+		"duplicate ids":     func() error { return l.SettleRoundSorted(2, 1, []int{7, 7}, []float64{1, 1}) },
+		"length mismatch":   func() error { return l.SettleRoundSorted(2, 1, []int{7, 9}, []float64{1}) },
+		"map NaN payment":   func() error { return l.SettleRound(2, 1, map[int]float64{7: 1, 9: math.NaN()}) },
+	}
+	for name, op := range rejected {
+		if err := op(); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if got := l.Accounts(); !reflect.DeepEqual(got, accounts) {
+			t.Fatalf("%s: accounts %v, want %v", name, got, accounts)
+		}
+		if got := l.Entries(); !reflect.DeepEqual(got, entries) {
+			t.Fatalf("%s: journal changed", name)
+		}
+		for i, a := range probe {
+			if got := l.Balance(a); got != balances[i] {
+				t.Fatalf("%s: balance of %s %v, want %v", name, a, got, balances[i])
+			}
+		}
+	}
+}
+
+// TestJournalRecordPointerFree pins the journal's layout: a fixed-size
+// record of numbers and ids the garbage collector never scans.
+func TestJournalRecordPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n != 32 {
+		t.Errorf("journal record is %d bytes, want 32", n)
+	}
+	rt := reflect.TypeOf(record{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch rt.Field(i).Type.Kind() {
+		case reflect.Int32, reflect.Int64, reflect.Float64:
+		default:
+			t.Errorf("journal record field %s is a %s", rt.Field(i).Name, rt.Field(i).Type)
+		}
+	}
+}
+
+// BenchmarkSettleRoundSorted books one K=10 settlement per op into a
+// journal that restarts every 5000 rounds, the broker's job length, so
+// the cost includes journal growth and the GC work a live journal
+// causes.
+func BenchmarkSettleRoundSorted(b *testing.B) {
+	const k, rounds = 10, 5000
+	ids := make([]int, k)
+	pay := make([]float64, k)
+	for j := range ids {
+		ids[j] = 7*j + 3
+		pay[j] = 0.25 * float64(j+1)
+	}
+	l := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%rounds == 0 {
+			l = New()
+		}
+		if err := l.SettleRoundSorted(i%rounds+1, 10, ids, pay); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
