@@ -469,7 +469,7 @@ type Result struct {
 	RealizedRevenue float64 // Σ observed qualities of all selections (Eq. 1)
 	ExpectedRevenue float64 // Σ expected qualities of all selections
 	Regret          float64 // cumulative pseudo-regret vs. the optimal selection
-	RegretBound     float64 // the Theorem 19 bound at this horizon
+	RegretBound     float64 // the Theorem 19 bound at this horizon (+Inf when Δ_min = 0, e.g. K == M)
 
 	ConsumerProfit float64 // cumulative PoC
 	PlatformProfit float64 // cumulative PoP

@@ -2,10 +2,15 @@ package cmabhs
 
 import (
 	"context"
+	"errors"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"cmabhs/internal/economics"
+	"cmabhs/internal/game"
 )
 
 func TestRandomConfig(t *testing.T) {
@@ -425,10 +430,11 @@ func TestSessionStepping(t *testing.T) {
 	if first.Round != 1 || len(first.Selected) != 8 {
 		t.Fatalf("round 1 record %+v", first)
 	}
-	rest, err := sess.StepN(100)
+	adv, err := sess.Advance(100)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rest := adv.Played
 	if len(rest) != 29 || !sess.Done() {
 		t.Fatalf("stepped %d more rounds, done=%v", len(rest), sess.Done())
 	}
@@ -567,6 +573,83 @@ func TestPerRoundAggregationRMSE(t *testing.T) {
 	for _, r := range pres.PerRound {
 		if r.AggregationRMSE != 0 {
 			t.Fatalf("RMSE %v without data layer", r.AggregationRMSE)
+		}
+	}
+}
+
+// TestOutOfRangeEconomicsRefused checks that economic inputs outside
+// the envelope (economics.MinParam/MaxParam) are refused at entry with
+// the validation sentinel — by NewSession, by ResumeSession on an
+// edited snapshot, and by SolveGame/EvaluateGame — instead of
+// overflowing into NaN rounds later.
+func TestOutOfRangeEconomicsRefused(t *testing.T) {
+	base := RandomConfig(6, 2, 20, 1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want error
+	}{
+		{"omega", func(c *Config) { c.Omega = 1e308 }, economics.ErrBadValuation},
+		{"lambda", func(c *Config) { c.Lambda = 1e308 }, economics.ErrBadPlatformCost},
+		{"theta", func(c *Config) { c.Theta = 1e308 }, economics.ErrBadPlatformCost},
+		{"tiny theta", func(c *Config) { c.Theta = 1e-300 }, economics.ErrBadPlatformCost},
+		{"tiny a", func(c *Config) { c.Sellers[0].CostQuadratic = 1e-300 }, economics.ErrBadSellerCost},
+		{"huge b", func(c *Config) { c.Sellers[0].CostLinear = 1e308 }, economics.ErrBadSellerCost},
+		{"p_max", func(c *Config) { c.PMax = 1e308 }, game.ErrBadBounds},
+		{"pj_max", func(c *Config) { c.PJMax = 1e308 }, game.ErrBadBounds},
+		{"T", func(c *Config) { c.RoundDuration = 1e308 }, game.ErrBadMaxTau},
+	} {
+		cfg := base
+		cfg.Sellers = append([]Seller(nil), base.Sellers...)
+		tc.edit(&cfg)
+		if _, err := NewSession(cfg); !errors.Is(err, tc.want) {
+			t.Errorf("NewSession %s: err %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	big := base
+	big.Tau0 = 1e308
+	if _, err := NewSession(big); err == nil {
+		t.Error("NewSession accepted Tau0 = 1e308")
+	}
+
+	sess, err := NewSession(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := sess.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	omega := regexp.MustCompile(`"Omega":[^,}]*`)
+	if !omega.Match(data) {
+		t.Fatalf("snapshot has no Omega field")
+	}
+	if _, err := ResumeSession(omega.ReplaceAll(data, []byte(`"Omega":1e308`))); !errors.Is(err, economics.ErrBadValuation) {
+		t.Errorf("ResumeSession omega: err %v, want %v", err, economics.ErrBadValuation)
+	}
+
+	gc := GameConfig{Sellers: []GameSeller{{0.2, 0.1, 0.9}, {0.3, 0.2, 0.5}}}
+	for _, tc := range []struct {
+		name string
+		edit func(*GameConfig)
+		want error
+	}{
+		{"omega", func(c *GameConfig) { c.Omega = 1e308 }, economics.ErrBadValuation},
+		{"lambda", func(c *GameConfig) { c.Lambda = 1e308 }, economics.ErrBadPlatformCost},
+		{"tiny a", func(c *GameConfig) { c.Sellers = []GameSeller{{1e-300, 0.1, 0.9}} }, economics.ErrBadSellerCost},
+		{"tiny q", func(c *GameConfig) { c.Sellers = []GameSeller{{0.2, 0.1, 1e-300}} }, game.ErrBadQuality},
+		{"T", func(c *GameConfig) { c.MaxSensing = math.Inf(1) }, game.ErrBadMaxTau},
+	} {
+		c := gc
+		tc.edit(&c)
+		for _, solver := range []Solver{SolverClosedForm, SolverExact, SolverNumeric} {
+			c.Solver = solver
+			if _, err := SolveGame(c); !errors.Is(err, tc.want) {
+				t.Errorf("SolveGame %s (%s): err %v, want %v", tc.name, solver, err, tc.want)
+			}
+		}
+		if _, err := EvaluateGame(c, 10, 1, nil); !errors.Is(err, tc.want) {
+			t.Errorf("EvaluateGame %s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

@@ -73,11 +73,11 @@ func ExampleNewSession() {
 		panic(err)
 	}
 	fmt.Println("round 1 selected:", len(r.Selected), "sellers")
-	rest, err := sess.StepN(1000) // runs to the horizon
+	adv, err := sess.Advance(1000) // runs to the horizon
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("remaining rounds:", len(rest))
+	fmt.Println("remaining rounds:", len(adv.Played))
 	fmt.Println("done:", sess.Done())
 	// Output:
 	// round 1 selected: 10 sellers
@@ -102,7 +102,7 @@ func ExampleSession_Save() {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := sess.StepN(20); err != nil {
+	if _, err := sess.Advance(20); err != nil {
 		panic(err)
 	}
 	snapshot, err := sess.Save() // persist these bytes anywhere
@@ -116,7 +116,7 @@ func ExampleSession_Save() {
 		panic(err)
 	}
 	fmt.Println("resumed at round:", resumed.NextRound())
-	if _, err := resumed.StepN(0); err != nil { // to completion
+	if _, err := resumed.Advance(0); err != nil { // to completion
 		panic(err)
 	}
 	res := resumed.Result()
@@ -147,7 +147,7 @@ func ExampleSession_Observe() {
 			panic("round 1 is pure exploration: no UCB indices yet")
 		}
 	})
-	if _, err := sess.StepN(0); err != nil { // to the horizon
+	if _, err := sess.Advance(0); err != nil { // to the horizon
 		panic(err)
 	}
 	fmt.Println("events:", events)

@@ -76,7 +76,7 @@ func TestSessionSaveGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := sess.StepN(0); err != nil {
+		if _, err := sess.Advance(0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !sess.Done() {

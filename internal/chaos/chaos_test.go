@@ -121,7 +121,7 @@ func TestSessionKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.StepN(12); err != nil {
+	if _, err := sess.Advance(12); err != nil {
 		t.Fatal(err)
 	}
 	data, err := sess.Save()
@@ -134,7 +134,7 @@ func TestSessionKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resumed.StepN(0); err != nil { // to completion
+	if _, err := resumed.Advance(0); err != nil { // to completion
 		t.Fatal(err)
 	}
 	got := resumed.Result()

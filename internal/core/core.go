@@ -34,6 +34,7 @@ import (
 
 	"cmabhs/internal/aggregate"
 	"cmabhs/internal/bandit"
+	"cmabhs/internal/economics"
 	"cmabhs/internal/game"
 	"cmabhs/internal/market"
 	"cmabhs/internal/numutil"
@@ -147,8 +148,8 @@ func (c *Config) Validate() error {
 	if c.K <= 0 || c.K > c.Market.M() {
 		return fmt.Errorf("core: K=%d with M=%d sellers", c.K, c.Market.M())
 	}
-	if c.Tau0 < 0 {
-		return errors.New("core: negative Tau0")
+	if !(c.Tau0 >= 0) || c.Tau0 > economics.MaxParam {
+		return fmt.Errorf("core: Tau0 %v outside [0, %g]", c.Tau0, economics.MaxParam)
 	}
 	for i := 1; i < len(c.Checkpoints); i++ {
 		if c.Checkpoints[i] <= c.Checkpoints[i-1] {

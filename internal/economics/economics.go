@@ -19,10 +19,25 @@ import (
 
 // Errors returned by parameter validation.
 var (
-	ErrBadSellerCost   = errors.New("economics: seller cost requires a > 0 and b >= 0")
-	ErrBadPlatformCost = errors.New("economics: platform cost requires theta > 0 and lambda >= 0")
-	ErrBadValuation    = errors.New("economics: valuation requires omega > 1")
+	ErrBadSellerCost   = errors.New("economics: seller cost requires a in [1e-6, 1e6] and b in [0, 1e6]")
+	ErrBadPlatformCost = errors.New("economics: platform cost requires theta in [1e-6, 1e6] and lambda in [0, 1e6]")
+	ErrBadValuation    = errors.New("economics: valuation requires omega in (1, 1e6]")
 )
+
+// The input envelope. The closed forms of Theorems 14–16 are finite
+// only for bounded economics, so every model parameter must be finite
+// and at most MaxParam in magnitude, and the curvatures a_i and θ —
+// which the equilibrium divides by — at least MinParam (the same floor
+// the mechanism puts under the quality estimates entering the game).
+// The paper's own values sit orders of magnitude inside it.
+const (
+	MinParam = 1e-6
+	MaxParam = 1e6
+)
+
+// InEnvelope reports whether x is finite and |x| <= MaxParam (NaN and
+// ±Inf are outside).
+func InEnvelope(x float64) bool { return math.Abs(x) <= MaxParam }
 
 // SellerCost holds the quadratic cost parameters (a_i, b_i) of one
 // seller: C(τ, q̄) = (a·τ² + b·τ)·q̄, with a > 0 and b ≥ 0 so that the
@@ -33,9 +48,9 @@ type SellerCost struct {
 }
 
 // Validate reports whether the parameters satisfy the model's
-// convexity constraints.
+// convexity constraints and lie inside the input envelope.
 func (c SellerCost) Validate() error {
-	if !(c.A > 0) || c.B < 0 || math.IsNaN(c.A) || math.IsNaN(c.B) {
+	if !(c.A >= MinParam) || !(c.B >= 0) || !InEnvelope(c.A) || !InEnvelope(c.B) {
 		return fmt.Errorf("%w (a=%v, b=%v)", ErrBadSellerCost, c.A, c.B)
 	}
 	return nil
@@ -58,9 +73,10 @@ type PlatformCost struct {
 	Lambda float64 // linear coefficient λ >= 0
 }
 
-// Validate reports whether the parameters satisfy the model.
+// Validate reports whether the parameters satisfy the model and lie
+// inside the input envelope.
 func (c PlatformCost) Validate() error {
-	if !(c.Theta > 0) || c.Lambda < 0 || math.IsNaN(c.Theta) || math.IsNaN(c.Lambda) {
+	if !(c.Theta >= MinParam) || !(c.Lambda >= 0) || !InEnvelope(c.Theta) || !InEnvelope(c.Lambda) {
 		return fmt.Errorf("%w (theta=%v, lambda=%v)", ErrBadPlatformCost, c.Theta, c.Lambda)
 	}
 	return nil
@@ -77,9 +93,10 @@ type Valuation struct {
 	Omega float64 // system parameter ω > 1
 }
 
-// Validate reports whether the parameter satisfies the model.
+// Validate reports whether the parameter satisfies the model and lies
+// inside the input envelope.
 func (v Valuation) Validate() error {
-	if !(v.Omega > 1) || math.IsNaN(v.Omega) {
+	if !(v.Omega > 1) || !InEnvelope(v.Omega) {
 		return fmt.Errorf("%w (omega=%v)", ErrBadValuation, v.Omega)
 	}
 	return nil

@@ -8,13 +8,14 @@ import (
 )
 
 func TestSellerCostValidate(t *testing.T) {
-	valid := []SellerCost{{A: 0.1, B: 0}, {A: 1, B: 2}}
+	valid := []SellerCost{{A: 0.1, B: 0}, {A: 1, B: 2}, {A: MinParam, B: MaxParam}, {A: MaxParam, B: 0}}
 	for _, c := range valid {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%+v should be valid: %v", c, err)
 		}
 	}
-	invalid := []SellerCost{{A: 0, B: 1}, {A: -1, B: 1}, {A: 1, B: -0.1}, {A: math.NaN(), B: 0}}
+	invalid := []SellerCost{{A: 0, B: 1}, {A: -1, B: 1}, {A: 1, B: -0.1}, {A: math.NaN(), B: 0},
+		{A: 1e-300, B: 0}, {A: 1e308, B: 0}, {A: 1, B: 1e308}, {A: 1, B: math.Inf(1)}, {A: 1, B: math.NaN()}}
 	for _, c := range invalid {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%+v should be invalid", c)
@@ -69,7 +70,11 @@ func TestPlatformCostValidateAndValues(t *testing.T) {
 	if err := (PlatformCost{Theta: 0.1, Lambda: 1}).Validate(); err != nil {
 		t.Errorf("valid params rejected: %v", err)
 	}
-	for _, c := range []PlatformCost{{Theta: 0, Lambda: 1}, {Theta: -1, Lambda: 0}, {Theta: 1, Lambda: -1}} {
+	if err := (PlatformCost{Theta: MinParam, Lambda: MaxParam}).Validate(); err != nil {
+		t.Errorf("envelope limits rejected: %v", err)
+	}
+	for _, c := range []PlatformCost{{Theta: 0, Lambda: 1}, {Theta: -1, Lambda: 0}, {Theta: 1, Lambda: -1},
+		{Theta: 1e-300, Lambda: 1}, {Theta: 1e308, Lambda: 1}, {Theta: 1, Lambda: 1e308}, {Theta: 1, Lambda: math.NaN()}} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%+v should be invalid", c)
 		}
@@ -85,7 +90,10 @@ func TestValuationValidateAndValues(t *testing.T) {
 	if err := (Valuation{Omega: 1000}).Validate(); err != nil {
 		t.Errorf("valid omega rejected: %v", err)
 	}
-	for _, v := range []Valuation{{Omega: 1}, {Omega: 0}, {Omega: -5}, {Omega: math.NaN()}} {
+	if err := (Valuation{Omega: MaxParam}).Validate(); err != nil {
+		t.Errorf("envelope limit rejected: %v", err)
+	}
+	for _, v := range []Valuation{{Omega: 1}, {Omega: 0}, {Omega: -5}, {Omega: math.NaN()}, {Omega: 1e308}, {Omega: math.Inf(1)}} {
 		if err := v.Validate(); err == nil {
 			t.Errorf("%+v should be invalid", v)
 		}

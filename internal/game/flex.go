@@ -3,7 +3,6 @@ package game
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"cmabhs/internal/economics"
 	"cmabhs/internal/numutil"
@@ -43,10 +42,8 @@ func (f *FlexParams) Validate() error {
 			return fmt.Errorf("game: nil cost family for seller %d", i)
 		}
 	}
-	for i, q := range f.Qualities {
-		if !(q > 0) || q > 1 || math.IsNaN(q) {
-			return fmt.Errorf("%w (seller %d has q̄=%v)", ErrBadQuality, i, q)
-		}
+	if err := validateQualities(f.Qualities); err != nil {
+		return err
 	}
 	if f.Valuation == nil {
 		return errors.New("game: nil valuation family")
@@ -63,7 +60,7 @@ func (f *FlexParams) Validate() error {
 	if !(f.MaxTau > 0) {
 		return errors.New("game: flex games need a positive MaxTau")
 	}
-	return nil
+	return ValidateMaxTau(f.MaxTau)
 }
 
 // SellerBestResponse maximizes Ψ_i(τ) = p·τ − C_i(τ, q̄_i) over

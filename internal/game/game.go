@@ -34,8 +34,9 @@ import (
 var (
 	ErrNoSellers     = errors.New("game: no selected sellers")
 	ErrShapeMismatch = errors.New("game: sellers and qualities length mismatch")
-	ErrBadQuality    = errors.New("game: qualities must lie in (0, 1]")
-	ErrBadBounds     = errors.New("game: price bounds must satisfy 0 <= min <= max")
+	ErrBadQuality    = errors.New("game: qualities must lie in [1e-6, 1]")
+	ErrBadBounds     = errors.New("game: price bounds must satisfy 0 <= min <= max <= 1e6")
+	ErrBadMaxTau     = errors.New("game: sensing-time cap T must lie in [-1e6, 1e6]")
 )
 
 // Bounds is a closed price interval [Min, Max].
@@ -43,9 +44,10 @@ type Bounds struct {
 	Min, Max float64
 }
 
-// Validate reports whether the bounds are a valid interval.
+// Validate reports whether the bounds are a valid interval inside the
+// input envelope.
 func (b Bounds) Validate() error {
-	if b.Min < 0 || b.Max < b.Min || math.IsNaN(b.Min) || math.IsNaN(b.Max) {
+	if !(b.Min >= 0) || !(b.Max >= b.Min) || !economics.InEnvelope(b.Max) {
 		return fmt.Errorf("%w (got [%v, %v])", ErrBadBounds, b.Min, b.Max)
 	}
 	return nil
@@ -70,6 +72,15 @@ type Params struct {
 	MaxTau    float64 // round duration T; <= 0 means unbounded sensing time
 }
 
+// ValidateMaxTau checks a sensing-time cap T against the input
+// envelope; T <= 0 means uncapped.
+func ValidateMaxTau(t float64) error {
+	if !economics.InEnvelope(t) {
+		return fmt.Errorf("%w (got %v)", ErrBadMaxTau, t)
+	}
+	return nil
+}
+
 // Validate checks structural and model constraints.
 func (p *Params) Validate() error {
 	if len(p.Sellers) == 0 {
@@ -83,10 +94,8 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("seller %d: %w", i, err)
 		}
 	}
-	for i, q := range p.Qualities {
-		if !(q > 0) || q > 1 || math.IsNaN(q) {
-			return fmt.Errorf("%w (seller %d has q̄=%v)", ErrBadQuality, i, q)
-		}
+	if err := validateQualities(p.Qualities); err != nil {
+		return err
 	}
 	if err := p.Platform.Validate(); err != nil {
 		return err
@@ -99,6 +108,17 @@ func (p *Params) Validate() error {
 	}
 	if err := p.PBounds.Validate(); err != nil {
 		return fmt.Errorf("p bounds: %w", err)
+	}
+	return ValidateMaxTau(p.MaxTau)
+}
+
+// validateQualities checks every estimated quality lies in
+// [economics.MinParam, 1].
+func validateQualities(qs []float64) error {
+	for i, q := range qs {
+		if !(q >= economics.MinParam) || q > 1 {
+			return fmt.Errorf("%w (seller %d has q̄=%v)", ErrBadQuality, i, q)
+		}
 	}
 	return nil
 }

@@ -36,6 +36,9 @@ func (j Job) Validate() error {
 	if j.N <= 0 {
 		return errors.New("market: job needs at least one round")
 	}
+	if err := game.ValidateMaxTau(j.T); err != nil {
+		return fmt.Errorf("market: %w", err)
+	}
 	return nil
 }
 

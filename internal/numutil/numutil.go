@@ -122,11 +122,14 @@ var invPhi = (math.Sqrt(5) - 1) / 2
 
 // MaximizeGolden maximizes a unimodal function f on [lo, hi] by
 // golden-section search and returns (argmax, max). It performs enough
-// iterations to narrow the interval below tol.
+// iterations to narrow the interval below tol — or below a few float
+// spacings at the bracket, when tol is finer than that: the probes
+// would round onto the endpoints and the bracket stop shrinking.
 func MaximizeGolden(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
+	tol = math.Max(tol, 8*0x1p-52*math.Max(math.Abs(lo), math.Abs(hi)))
 	a, b := lo, hi
 	c := b - invPhi*(b-a)
 	d := a + invPhi*(b-a)

@@ -151,6 +151,18 @@ func TestMaximizeGolden(t *testing.T) {
 	}
 }
 
+// TestMaximizeGoldenFineTolTerminates pins termination when tol is
+// below the float spacing of a bracket far from zero (here ~1.2e-10
+// near 1e6): the bracket can never get that narrow, so without the
+// floor on tol the search spun forever.
+func TestMaximizeGoldenFineTolTerminates(t *testing.T) {
+	lo, hi := 999932.0, 999932.1
+	x, _ := MaximizeGolden(func(x float64) float64 { return -(x - 999932.05) * (x - 999932.05) }, lo, hi, 1e-12)
+	if !AlmostEqual(x, 999932.05, 1e-9) {
+		t.Errorf("argmax %v, want 999932.05", x)
+	}
+}
+
 func TestMaximizeGoldenLogConcave(t *testing.T) {
 	// The consumer-profit shape: ω·ln(1+q·s) − c·s² on s ≥ 0.
 	omega, q, c := 1000.0, 0.5, 2.0

@@ -127,45 +127,31 @@ func TestAdvancePoolSaturated(t *testing.T) {
 	}
 }
 
-// TestSanitizeJSON checks the central NaN/Inf scrub that every
-// response passes through.
-func TestSanitizeJSON(t *testing.T) {
-	nan := math.NaN()
-	type inner struct {
-		F float64
-		S []float64
+// TestWriteJSONEncodeFirst pins writeJSON's contract: a finite value is
+// the json.Encoder bytes under the given status, and a value that cannot
+// encode (a non-finite float) becomes a 500 error envelope — never a
+// truncated body under the success status.
+func TestWriteJSONEncodeFirst(t *testing.T) {
+	v := map[string]any{"a": 1.5, "b": []float64{0, 2}, "s": "<x>"}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, v)
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(v); err != nil {
+		t.Fatal(err)
 	}
-	type outer struct {
-		In    *inner
-		M     map[string]any
-		Plain float64
-		Inf   float64
-		hid   float64 // unexported: must be skipped, not panic
+	if rec.Code != http.StatusCreated || rec.Body.String() != want.String() {
+		t.Fatalf("finite value: status %d body %q, want 201 %q", rec.Code, rec.Body, want.String())
 	}
-	v := outer{
-		In:    &inner{F: nan, S: []float64{1, nan, 3}},
-		M:     map[string]any{"x": nan, "y": []float64{nan}, "z": "str"},
-		Plain: 2.5,
-		Inf:   math.Inf(-1),
-		hid:   nan,
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, struct{ X float64 }{math.NaN()})
+	var out ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("error body does not decode: %v (%q)", err, rec.Body)
 	}
-	got, ok := sanitizeJSON(v).(outer)
-	if !ok {
-		t.Fatalf("sanitizeJSON changed the type: %T", sanitizeJSON(v))
-	}
-	if got.In.F != 0 || got.In.S[1] != 0 || got.In.S[0] != 1 || got.In.S[2] != 3 {
-		t.Fatalf("inner not scrubbed: %+v", got.In)
-	}
-	if got.M["x"] != 0.0 || got.M["y"].([]float64)[0] != 0 || got.M["z"] != "str" {
-		t.Fatalf("map not scrubbed: %v", got.M)
-	}
-	if got.Plain != 2.5 || got.Inf != 0 {
-		t.Fatalf("floats wrong: %+v", got)
-	}
-	if _, err := json.Marshal(sanitizeJSON(v)); err != nil {
-		t.Fatalf("still unmarshalable: %v", err)
-	}
-	if sanitizeJSON(nil) != nil {
-		t.Fatal("nil should stay nil")
+	if rec.Code != http.StatusInternalServerError || out.Error.Code != "internal" ||
+		rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("NaN value: status %d, envelope %+v, content type %q",
+			rec.Code, out, rec.Header().Get("Content-Type"))
 	}
 }

@@ -197,7 +197,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job)
 		case <-ctx.Done():
 			return
 		case ev := <-sub.ch:
-			data, err := json.Marshal(sanitizeJSON(ev))
+			data, err := json.Marshal(ev)
 			if err != nil {
 				return
 			}

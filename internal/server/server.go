@@ -50,7 +50,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -201,6 +200,13 @@ type FaultRequest struct {
 // JobStatus is the wire form of a job's state. Every endpoint that
 // reports a job — create, get, list, and the advance envelope — emits
 // this one shape.
+//
+// Result carries the library's cumulative result with one wire rule:
+// 0 means "not measured" or "no finite bound". The library reports
+// those as NaN or +Inf: AggregationRMSE without collect_data,
+// DynamicRegret without quality drift (always, for a job created from
+// a JobRequest), and RegretBound when the Theorem 19 bound is infinite
+// (Δ_min = 0, e.g. K == M).
 type JobStatus struct {
 	ID        string         `json:"id"`
 	Sellers   int            `json:"sellers"`
@@ -318,7 +324,10 @@ func (j *job) recordAdvance(rounds int, took time.Duration) {
 }
 
 func (j *job) status() JobStatus {
-	res := j.sess.Result()
+	res := j.sess.Result() // built fresh per call: ours to edit
+	res.AggregationRMSE = zeroUnlessFinite(res.AggregationRMSE)
+	res.DynamicRegret = zeroUnlessFinite(res.DynamicRegret)
+	res.RegretBound = zeroUnlessFinite(res.RegretBound)
 	jm := JobMetrics{
 		RoundsAdvanced:     j.roundsAdvanced,
 		LastAdvanceSeconds: j.lastAdvance.Seconds(),
@@ -342,6 +351,14 @@ func (j *job) status() JobStatus {
 			Metrics:  "/metrics",
 		},
 	}
+}
+
+// zeroUnlessFinite maps NaN and ±Inf to 0, the wire's "not measured".
+func zeroUnlessFinite(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0
+	}
+	return x
 }
 
 // statusLocked renders j's wire status plus the cluster decorations —
@@ -622,17 +639,12 @@ func (s *Server) bootstrapWAL(ctx context.Context, j *job, wal RoundWAL) error {
 	return nil
 }
 
-// resetSegment resets id's WAL segment; on a lease-owned job it uses
-// the fenced variant when the store offers one (WALStore does), so a
-// zombie's reset cannot truncate a successor's segment, and the fresh
-// header carries the owner's epoch.
+// resetSegment resets id's WAL segment; on a lease-owned job the reset
+// is fenced, so a zombie's reset cannot truncate a successor's segment,
+// and the fresh header carries the owner's epoch.
 func (s *Server) resetSegment(wal RoundWAL, id string, base int, lease *Lease) error {
 	if lease != nil {
-		if fw, ok := wal.(interface {
-			ResetWALFenced(id string, base int, owner string, epoch int64) error
-		}); ok {
-			return fw.ResetWALFenced(id, base, lease.Owner, lease.Epoch)
-		}
+		return wal.ResetWALFenced(id, base, lease.Owner, lease.Epoch)
 	}
 	return wal.ResetWAL(id, base)
 }
@@ -1379,71 +1391,21 @@ type DeleteResponse struct {
 	Deleted string `json:"deleted"`
 }
 
+// writeJSON encodes v before committing the status line, so an
+// encoding failure becomes a 500 error envelope rather than a truncated
+// 200. The bytes match json.Encoder's: the value plus a newline. Every
+// float reaching here is finite by construction (DESIGN §8): inputs are
+// held to the economics envelope at entry, and JobStatus zeroes the
+// result fields a job does not measure.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	v = sanitizeJSON(v)
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// sanitizeJSON replaces every NaN or ±Inf float reachable from v with
-// 0, since encoding/json rejects them mid-stream (after the status
-// line is already out). NaN legitimately shows up in results — e.g.
-// AggregationRMSE when the data layer is off, DynamicRegret on
-// stationary markets, and game solutions at degenerate parameters —
-// and 0 on the wire uniformly means "not measured". Response values
-// are built fresh per request, so scrubbing in place is safe.
-func sanitizeJSON(v any) any {
-	if v == nil {
-		return nil
-	}
-	rv := reflect.ValueOf(v)
-	cp := reflect.New(rv.Type()).Elem()
-	cp.Set(rv)
-	scrubNaN(cp)
-	return cp.Interface()
-}
-
-func scrubNaN(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Float32, reflect.Float64:
-		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
-			v.SetFloat(0)
-		}
-	case reflect.Pointer:
-		if !v.IsNil() {
-			scrubNaN(v.Elem())
-		}
-	case reflect.Interface:
-		if !v.IsNil() {
-			// Interface contents are read-only; scrub an addressable
-			// copy and store it back.
-			cp := reflect.New(v.Elem().Type()).Elem()
-			cp.Set(v.Elem())
-			scrubNaN(cp)
-			if v.CanSet() {
-				v.Set(cp)
-			}
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).IsExported() {
-				scrubNaN(v.Field(i))
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			scrubNaN(v.Index(i))
-		}
-	case reflect.Map:
-		iter := v.MapRange()
-		for iter.Next() {
-			cp := reflect.New(iter.Value().Type()).Elem()
-			cp.Set(iter.Value())
-			scrubNaN(cp)
-			v.SetMapIndex(iter.Key(), cp)
-		}
-	}
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // ErrorBody is the structured half of the error envelope: a stable

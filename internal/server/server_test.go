@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -406,53 +407,186 @@ func TestListJobsPagination(t *testing.T) {
 	}
 }
 
-// TestWireNumbersFinite pins the wire contract that every number a
-// 200 body carries is finite, on inputs whose results are NOT finite
-// internally: a solve at omega=1e308 overflows the consumer profit to
-// +Inf, one at lambda=1e308 makes the consumer price NaN, and a job
-// without a data layer has NaN AggregationRMSE and DynamicRegret. The
-// contract holds however it is met — scrubbed at encode time today,
-// validated at the source by whoever removes the scrub.
-func TestWireNumbersFinite(t *testing.T) {
-	s := New()
-	h := s.Handler()
-	id := createJob(t, h).ID // collect_data off
-	solve := `{"sellers":[{"a":0.2,"b":0.1,"q":0.9},{"a":0.3,"b":0.2,"q":0.5}],`
-	for _, tc := range []struct{ method, path, body string }{
-		{http.MethodPost, "/v1/game/solve", solve + `"omega":1e308}`},
-		{http.MethodPost, "/v1/game/solve", solve + `"lambda":1e308}`},
-		{http.MethodPost, "/v1/jobs/" + id + "/advance", `{"rounds":3}`},
-		{http.MethodGet, "/v1/jobs/" + id, ""},
-	} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s %s: status %d: %s", tc.method, tc.path, rec.Code, rec.Body)
-		}
-		dec := json.NewDecoder(rec.Body)
-		dec.UseNumber()
-		var v any
-		if err := dec.Decode(&v); err != nil {
-			t.Fatalf("%s %s: body does not decode: %v", tc.method, tc.path, err)
-		}
-		var walk func(path string, v any)
-		walk = func(path string, v any) {
-			switch v := v.(type) {
-			case json.Number:
-				f, err := strconv.ParseFloat(string(v), 64)
-				if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-					t.Errorf("%s %s: %s = %s is not a finite number", tc.method, tc.path, path, v)
-				}
-			case map[string]any:
-				for k, e := range v {
-					walk(path+"."+k, e)
-				}
-			case []any:
-				for i, e := range v {
-					walk(path+"["+strconv.Itoa(i)+"]", e)
-				}
+// wireWalk decodes a JSON body with exact number literals and reports
+// every number that does not parse as a finite float64.
+func wireWalk(t *testing.T, what string, body []byte) map[string]any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("%s: body does not decode: %v\n%s", what, err, body)
+	}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case json.Number:
+			f, err := strconv.ParseFloat(string(v), 64)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				t.Errorf("%s: %s = %s is not a finite number", what, path, v)
+			}
+		case map[string]any:
+			for k, e := range v {
+				walk(path+"."+k, e)
+			}
+		case []any:
+			for i, e := range v {
+				walk(path+"["+strconv.Itoa(i)+"]", e)
 			}
 		}
-		walk("$", v)
+	}
+	walk("$", v)
+	m, _ := v.(map[string]any)
+	return m
+}
+
+// TestWireNumbersFinite pins the wire contract that every number the
+// broker sends is finite, on every route, for jobs whose library
+// results are NOT all finite: without collect_data AggregationRMSE is
+// NaN, DynamicRegret is NaN on every wire job (no drift), and with
+// M == K the Theorem 19 bound is +Inf (Δ_min = 0). Those three read 0
+// on the wire. Nothing scrubs the bodies, so a non-finite float
+// anywhere would surface as a 500 from writeJSON or a dead stream.
+func TestWireNumbersFinite(t *testing.T) {
+	store, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	s.Store = store
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(method, path, body string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s: status %d: %s", method, path, resp.StatusCode, buf.Bytes())
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name, req   string
+		collect     bool // AggregationRMSE is measured
+		finiteBound bool // RegretBound is finite
+	}{
+		{"faults", `{"random_sellers":12,"k":3,"rounds":200,"seed":3,"faults":{"channel":{"good_to_bad":0.1,"bad_to_good":0.3,"loss_bad":0.8},"churn":{"rate":0.01},"straggler":{"prob":0.2,"mean_delay":0.5}}}`, false, true},
+		{"collect", `{"random_sellers":10,"k":3,"rounds":200,"seed":4,"collect_data":true}`, true, true},
+		{"m-eq-k", `{"random_sellers":4,"k":4,"rounds":200,"seed":5}`, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st JobStatus
+			if err := json.Unmarshal(get(http.MethodPost, "/v1/jobs", tc.req), &st); err != nil {
+				t.Fatal(err)
+			}
+			base := "/v1/jobs/" + st.ID
+			resp, sc := streamEvents(t, ts, st.ID, "?format=ndjson", nil)
+			defer resp.Body.Close()
+
+			wireWalk(t, "advance", get(http.MethodPost, base+"/advance", `{"rounds":40}`))
+			if !sc.Scan() {
+				t.Fatalf("no event frame: %v", sc.Err())
+			}
+			wireWalk(t, "event", sc.Bytes())
+			status := wireWalk(t, "status", get(http.MethodGet, base, ""))
+			res, _ := status["result"].(map[string]any)
+			zero := func(field string, want bool) {
+				t.Helper()
+				if got := res[field].(json.Number).String() == "0"; got != want {
+					t.Errorf("result.%s = %v, want zero=%v", field, res[field], want)
+				}
+			}
+			zero("AggregationRMSE", !tc.collect)
+			zero("DynamicRegret", true)
+			zero("RegretBound", !tc.finiteBound)
+
+			wireWalk(t, "list", get(http.MethodGet, "/v1/jobs", ""))
+			wireWalk(t, "estimates", get(http.MethodGet, base+"/estimates", ""))
+			for metric := range seriesMetrics {
+				wireWalk(t, "series "+metric, get(http.MethodGet, base+"/series?metric="+metric, ""))
+			}
+			wireWalk(t, "stats", get(http.MethodGet, "/v1/stats", ""))
+			wireWalk(t, "overview", get(http.MethodGet, "/v1/cluster/overview", ""))
+			wireWalk(t, "snapshot", get(http.MethodPost, base+"/snapshot", ""))
+		})
+	}
+	if err := s.SaveAll(); err != nil {
+		t.Fatalf("SaveAll: %v", err)
+	}
+}
+
+// TestOutOfRangeEconomicsRefused checks that economic inputs outside
+// the envelope (economics.MinParam/MaxParam) are refused at entry with
+// 400 invalid_request — on create, on resume from an edited snapshot,
+// and on a stateless solve — and that no refused create leaves a job.
+func TestOutOfRangeEconomicsRefused(t *testing.T) {
+	ts := newTestServer(t)
+	var donor JobStatus
+	if code := do(t, ts, http.MethodPost, "/v1/jobs",
+		JobRequest{RandomSellers: 6, K: 2, Rounds: 20, Seed: 1}, &donor); code != http.StatusCreated {
+		t.Fatalf("donor create: %d", code)
+	}
+	var snap SnapshotResponse
+	if code := do(t, ts, http.MethodPost, "/v1/jobs/"+donor.ID+"/snapshot", nil, &snap); code != http.StatusOK {
+		t.Fatalf("donor snapshot: %d", code)
+	}
+	if code := do(t, ts, http.MethodDelete, "/v1/jobs/"+donor.ID, nil, nil); code != http.StatusOK {
+		t.Fatalf("donor delete: %d", code)
+	}
+	omega := regexp.MustCompile(`"Omega":[^,}]*`)
+	if !omega.Match(snap.Snapshot) {
+		t.Fatalf("snapshot has no Omega field: %s", snap.Snapshot)
+	}
+	edited, err := json.Marshal(map[string]json.RawMessage{
+		"snapshot": omega.ReplaceAll(snap.Snapshot, []byte(`"Omega":1e308`)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	job := `{"random_sellers":6,"k":2,"rounds":20,"seed":1,`
+	solve := `{"sellers":[{"a":0.2,"b":0.1,"q":0.9},{"a":0.3,"b":0.2,"q":0.5}],`
+	for _, tc := range []struct{ name, path, body string }{
+		{"create omega", "/v1/jobs", job + `"omega":1e308}`},
+		{"create lambda", "/v1/jobs", job + `"lambda":1e308}`},
+		{"create theta", "/v1/jobs", job + `"theta":1e308}`},
+		{"create p_max", "/v1/jobs", job + `"p_max":1e308}`},
+		{"create pj_max", "/v1/jobs", job + `"pj_max":1e308}`},
+		{"create tiny a", "/v1/jobs", `{"sellers":[{"a":1e-300,"b":0.1,"q":0.5},{"a":0.2,"b":0.1,"q":0.5}],"k":1,"rounds":20}`},
+		{"resume omega", "/v1/jobs", string(edited)},
+		{"solve omega", "/v1/game/solve", solve + `"omega":1e308}`},
+		{"solve lambda", "/v1/game/solve", solve + `"lambda":1e308}`},
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || out.Error.Code != "invalid_request" {
+			t.Errorf("%s: status %d, envelope %+v (%v), want 400 invalid_request",
+				tc.name, resp.StatusCode, out.Error, derr)
+		}
+	}
+	var list []JobStatus
+	if code := do(t, ts, http.MethodGet, "/v1/jobs", nil, &list); code != http.StatusOK || len(list) != 0 {
+		t.Fatalf("jobs after refused creates: status %d, %d jobs, want none", code, len(list))
 	}
 }

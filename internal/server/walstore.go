@@ -32,6 +32,12 @@ type RoundWAL interface {
 	// NextRound == base is durably saved, folding the old tail into it.
 	ResetWAL(id string, base int) error
 
+	// ResetWALFenced is ResetWAL for a lease-owned job: it runs under
+	// the job's lease lock, refuses with ErrLeaseLost unless owner
+	// still holds the lease at epoch (so a zombie cannot truncate its
+	// successor's segment), and stamps epoch into the segment header.
+	ResetWALFenced(id string, base int, owner string, epoch int64) error
+
 	// AppendWAL durably appends the records to id's open segment and
 	// returns the total records the segment now holds.
 	AppendWAL(id string, recs []core.RoundRecord) (int, error)
@@ -163,17 +169,9 @@ func (w *WALStore) ResetWAL(id string, base int) error {
 	return w.resetWAL(id, base, 0)
 }
 
-// ResetWALEpoch is ResetWAL with the owner's lease epoch stamped into
-// the segment header (see roundlog.EncodeSegmentHeaderEpoch); the
-// clustered broker uses it so recovery can detect segments written by
-// a later ownership generation.
-func (w *WALStore) ResetWALEpoch(id string, base int, epoch int64) error {
-	return w.resetWAL(id, base, epoch)
-}
-
-// ResetWALFenced is ResetWALEpoch executed under the job's lease lock
-// with a fencing check first: a zombie owner whose lease was stolen
-// cannot truncate its successor's segment.
+// ResetWALFenced implements RoundWAL. The epoch goes into the segment
+// header (see roundlog.EncodeSegmentHeaderEpoch) so recovery can detect
+// segments written by a later ownership generation.
 func (w *WALStore) ResetWALFenced(id string, base int, owner string, epoch int64) error {
 	if err := checkID(id); err != nil {
 		return err

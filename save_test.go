@@ -54,7 +54,7 @@ func TestSessionSaveResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.StepN(breakAt); err != nil {
+		if _, err := sess.Advance(breakAt); err != nil {
 			t.Fatal(err)
 		}
 		data, err := sess.Save()
@@ -71,7 +71,7 @@ func TestSessionSaveResume(t *testing.T) {
 		if got := resumed.Config().Rounds; got != 60 {
 			t.Fatalf("break at %d: resumed config has %d rounds", breakAt, got)
 		}
-		if _, err := resumed.StepN(0); err != nil {
+		if _, err := resumed.Advance(0); err != nil {
 			t.Fatal(err)
 		}
 		if !resumed.Done() {
@@ -91,7 +91,7 @@ func TestSessionSaveIsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.StepN(10); err != nil {
+	if _, err := sess.Advance(10); err != nil {
 		t.Fatal(err)
 	}
 	a, err := sess.Save()
@@ -105,7 +105,7 @@ func TestSessionSaveIsStable(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("back-to-back saves differ")
 	}
-	if _, err := sess.StepN(0); err != nil {
+	if _, err := sess.Advance(0); err != nil {
 		t.Fatal(err)
 	}
 	withSaves := sess.Result()
@@ -125,7 +125,7 @@ func TestResumeSessionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.StepN(5); err != nil {
+	if _, err := sess.Advance(5); err != nil {
 		t.Fatal(err)
 	}
 	data, err := sess.Save()

@@ -67,16 +67,6 @@ func (s *Session) Step() (*Round, error) {
 	return &r, nil
 }
 
-// StepN plays up to n rounds (fewer if the run finishes) and returns
-// the records.
-//
-// Deprecated: use Advance, which also reports why a batch ended
-// early. StepN remains as a thin wrapper.
-func (s *Session) StepN(n int) ([]Round, error) {
-	adv, err := s.Advance(n)
-	return adv.Played, err
-}
-
 // Advance plays up to n rounds (n <= 0 means to completion). It is
 // the background-context wrapper over AdvanceContext, which is the
 // canonical form — see the package documentation's execution-model
