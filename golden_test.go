@@ -2,8 +2,10 @@ package cmabhs_test
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,7 +17,7 @@ import (
 
 // goldenConfigs are the fixed runs whose Save bytes are pinned in
 // testdata/session_save.sha256: a small market under every fault
-// model (churn deactivates sellers mid-run, so the journal and the
+// model (churn deactivates sellers mid-run, so the ledger and the
 // estimator both see departures) and a wide market at the broker's
 // advance-heavy shape.
 func goldenConfigs() map[string]cmabhs.Config {
@@ -62,7 +64,7 @@ func readGolden(t *testing.T) map[string]string {
 // TestSessionSaveGolden pins the exact bytes of Session.Save for fixed
 // runs. The round-trip tests compare snapshots produced by the same
 // build, so a change to the snapshot encoding — the settlement
-// journal's layout above all — would pass them unnoticed; a digest
+// ledger's layout above all — would pass them unnoticed; a digest
 // recorded once catches any drift in the saved bytes.
 func TestSessionSaveGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -91,4 +93,99 @@ func TestSessionSaveGolden(t *testing.T) {
 			t.Errorf("%s: Save digest %s, golden %q (%d bytes)", name, got, want[name], len(data))
 		}
 	}
+}
+
+// v1Fixture is Session.Save of goldenConfigs()["m20-k5-faults-r200"]
+// after 40 rounds, written by the last build whose mechanism state was
+// version 1: its ledger is the journal of every transfer booked, not
+// the constant-size fold later versions persist.
+const v1Fixture = "session_v1_m20-k5-faults-r40.json"
+
+// TestV1SnapshotContinuesBitIdentical: a version-1 snapshot resumes,
+// and from then on the run cannot be told apart from one that never
+// stopped. Saved at the fixture's round and at the end, its bytes
+// equal a fresh run's, and every round played in between is the same
+// record byte for byte.
+func TestV1SnapshotContinuesBitIdentical(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the fixture was recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", v1Fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probe struct {
+		State struct {
+			Version int
+			Market  struct {
+				Ledger struct{ Journal []json.RawMessage }
+			}
+		}
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		t.Fatal(err)
+	}
+	if probe.State.Version != 1 || len(probe.State.Market.Ledger.Journal) == 0 {
+		t.Fatalf("fixture is not a version-1 snapshot with a journal (version %d)", probe.State.Version)
+	}
+	const at = 40
+	resumed, err := cmabhs.ResumeSession(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.NextRound() != at+1 {
+		t.Fatalf("fixture resumed at round %d, want %d", resumed.NextRound(), at+1)
+	}
+	cfg := goldenConfigs()["m20-k5-faults-r200"]
+	if got, want := mustJSON(t, resumed.Config()), mustJSON(t, cfg); !bytes.Equal(got, want) {
+		t.Fatalf("fixture config differs from the golden config:\n%s\n%s", got, want)
+	}
+	fresh, err := cmabhs.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Advance(at); err != nil {
+		t.Fatal(err)
+	}
+	sameSave := func(when string) {
+		t.Helper()
+		a, err := resumed.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: migrated save (%d bytes) differs from the uninterrupted run's (%d bytes)", when, len(a), len(b))
+		}
+	}
+	sameSave("at the fixture's round")
+	for !fresh.Done() {
+		got, err := resumed.Advance(37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Advance(37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := mustJSON(t, got.Played), mustJSON(t, want.Played); !bytes.Equal(g, w) {
+			t.Fatalf("rounds %d..: migrated run played\n%s\nuninterrupted run played\n%s", want.Played[0].Round, g, w)
+		}
+	}
+	if !resumed.Done() {
+		t.Fatal("migrated run not done with the uninterrupted one")
+	}
+	sameSave("at the end")
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

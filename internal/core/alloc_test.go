@@ -12,9 +12,8 @@ import (
 // churn schedule, incremental top-K selection, the closed-form
 // Stackelberg game, collection, settlement, estimator updates, and
 // observer dispatch — performs zero heap allocations. (The ledger
-// journal of 32-byte id records still grows, but its amortized
-// doubling stays below one allocation per round and so rounds to zero
-// here.)
+// keeps no journal: its record buffer for the digest is sized on the
+// first settlement and reused.)
 func TestAdvanceSteadyStateAllocFree(t *testing.T) {
 	cfg, _ := testConfig(t, 300, 10, 1<<30, 3, 9)
 	var observed int

@@ -3,8 +3,8 @@ package core
 // This file implements the durable state layer of a live Mechanism:
 // Snapshot exports every online accumulator — round cursor, quality
 // estimators, regret tracker, Kahan-compensated profit sums, ledger
-// journal, and the position of every random stream — and Resume
-// rebuilds a mechanism that continues the run round-for-round
+// balances and digest, and the position of every random stream — and
+// Resume rebuilds a mechanism that continues the run round-for-round
 // identically to one that was never interrupted.
 //
 // Everything derivable from the configuration (seller costs, quality
@@ -25,14 +25,48 @@ import (
 	"math"
 
 	"cmabhs/internal/bandit"
+	"cmabhs/internal/ledger"
 	"cmabhs/internal/market"
 	"cmabhs/internal/numutil"
 )
 
 // StateVersion is the schema version written into every snapshot.
 // Bump it whenever the State layout changes incompatibly; DecodeState
-// rejects any other version outright rather than guessing.
-const StateVersion = 1
+// rejects any version it does not know outright rather than guessing.
+//
+// Version 2 replaced the ledger's journal of every transfer with its
+// constant-size fold (ledger.State). DecodeState still reads version 1
+// and migrates it; a build that reads only version 1 refuses version 2
+// with a version mismatch.
+const StateVersion = 2
+
+// stateV1 is the version-1 layout: State with the settlement journal
+// where the ledger's fold now is. The outer Market field shadows the
+// embedded one, so everything else decodes into State unchanged.
+type stateV1 struct {
+	State
+	Market struct {
+		market.State
+		Ledger struct {
+			Journal []ledger.Entry `json:"journal"`
+		} `json:"ledger"`
+	} `json:"market"`
+}
+
+// migrate folds a version-1 state into the version-2 state a run that
+// had never stopped would hold: the journal is replayed once through
+// the ledger's validated transfer path.
+func (v *stateV1) migrate() (*State, error) {
+	st := v.State
+	st.Version = StateVersion
+	st.Market = v.Market.State
+	led, err := ledger.FromJournal(v.Market.Ledger.Journal)
+	if err != nil {
+		return nil, fmt.Errorf("core: migrate version-1 state: %w", err)
+	}
+	st.Market.Ledger = led
+	return &st, nil
+}
 
 // State is the serializable snapshot of a live Mechanism.
 type State struct {
@@ -201,9 +235,10 @@ func (s *State) Encode() ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// DecodeState parses and validates a snapshot produced by Encode. It
-// is strict on purpose: an unknown field, a version mismatch, or an
-// invariant violation is an error — never a silently zeroed field.
+// DecodeState parses and validates a snapshot produced by Encode,
+// migrating a version-1 snapshot to the current layout. It is strict
+// on purpose: an unknown field, an unknown version, or an invariant
+// violation is an error — never a silently zeroed field.
 func DecodeState(data []byte) (*State, error) {
 	// Loose version probe first, so a snapshot from a different schema
 	// reports "version mismatch" instead of whichever unknown field the
@@ -214,14 +249,25 @@ func DecodeState(data []byte) (*State, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("core: decode state: %w", err)
 	}
-	if probe.Version != StateVersion {
-		return nil, fmt.Errorf("core: state version %d, this build reads version %d", probe.Version, StateVersion)
-	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	st := &State{}
-	if err := dec.Decode(st); err != nil {
-		return nil, fmt.Errorf("core: decode state: %w", err)
+	switch probe.Version {
+	case StateVersion:
+		if err := dec.Decode(st); err != nil {
+			return nil, fmt.Errorf("core: decode state: %w", err)
+		}
+	case 1:
+		var v1 stateV1
+		if err := dec.Decode(&v1); err != nil {
+			return nil, fmt.Errorf("core: decode state: %w", err)
+		}
+		var err error
+		if st, err = v1.migrate(); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("core: state version %d, this build reads versions 1 and %d", probe.Version, StateVersion)
 	}
 	if err := st.validate(); err != nil {
 		return nil, err

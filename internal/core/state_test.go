@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"cmabhs/internal/bandit"
+	"cmabhs/internal/ledger"
 	"cmabhs/internal/rng"
 )
 
@@ -283,6 +287,48 @@ func TestDecodeStateStrict(t *testing.T) {
 	if _, err := DecodeState(data[:len(data)/2]); err == nil {
 		t.Error("truncated payload accepted")
 	}
+
+	// Version 1 carried the ledger's journal. A sound one migrates to
+	// the ledger state of a live run; a bad entry, a journal in a
+	// version-2 state, or a fold in a version-1 state is refused.
+	entry := `{"round":1,"from":"consumer","to":"platform","amount":%s,"memo":"data service reward"}`
+	v1 := v1Of(t, data, `{"journal":[`+strings.Replace(entry, "%s", "2.5", 1)+`]}`)
+	st, err := DecodeState(v1)
+	if err != nil {
+		t.Fatalf("version-1 state refused: %v", err)
+	}
+	var live ledger.Ledger
+	if err := live.Transfer(1, ledger.Consumer, ledger.Platform, 2.5); err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != StateVersion || !sameJSON(t, st.Market.Ledger, live.State()) {
+		t.Errorf("version-1 journal migrated to %+v (version %d)", st.Market.Ledger, st.Version)
+	}
+	if _, err := DecodeState(v1Of(t, data, `{"journal":[`+strings.Replace(entry, "%s", "-1", 1)+`]}`)); !errors.Is(err, ledger.ErrNegativeAmount) {
+		t.Errorf("negative version-1 journal amount: %v", err)
+	}
+	journalInV2 := bytes.Replace(v1, []byte(`"version":1`), []byte(`"version":2`), 1)
+	if _, err := DecodeState(journalInV2); err == nil {
+		t.Error("journal in a version-2 state accepted")
+	}
+	foldInV1 := bytes.Replace(data, []byte(`"version":2`), []byte(`"version":1`), 1)
+	if _, err := DecodeState(foldInV1); err == nil {
+		t.Error("ledger fold in a version-1 state accepted")
+	}
+}
+
+// sameJSON compares two values by their JSON encodings.
+func sameJSON(t *testing.T, a, b any) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb)
 }
 
 // TestResultAvgGuards: the per-round averages must not emit NaN
@@ -331,12 +377,14 @@ func FuzzDecodeState(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":2`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":3`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"next":`), []byte(`"nxet":`), 1))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte(`{"version":2}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
+	f.Add(v1FixtureState(f))
+	f.Add(v1Of(f, valid, `{"journal":[{"round":1,"from":"consumer","to":"platform","amount":2.5,"memo":""}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeState(data)
@@ -352,10 +400,61 @@ func FuzzDecodeState(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// A resumed ledger holds finite balances that conserve money.
+		led := mm.Market().Ledger()
+		for i, b := range led.State().Balances {
+			if math.IsNaN(b) || math.IsInf(b, 0) {
+				t.Fatalf("resumed ledger balance %d is %v", i, b)
+			}
+		}
+		imb, tol := led.TotalImbalance(), led.ImbalanceBound()
+		if math.IsInf(tol, 0) || !(math.Abs(imb) <= tol) {
+			t.Fatalf("resumed ledger residual %g over bound %g", imb, tol)
+		}
 		for i := 0; i < 3 && !mm.Done(); i++ {
 			if _, err := mm.Step(); err != nil {
 				return
 			}
 		}
 	})
+}
+
+// v1FixtureState returns the mechanism state inside the checked-in
+// version-1 session snapshot.
+func v1FixtureState(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "session_v1_m20-k5-faults-r40.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var env struct{ State json.RawMessage }
+	if err := json.Unmarshal(data, &env); err != nil {
+		tb.Fatal(err)
+	}
+	return env.State
+}
+
+// v1Of rewrites an encoded current state into the version-1 layout
+// with the given ledger object.
+func v1Of(tb testing.TB, data []byte, ledgerJSON string) []byte {
+	tb.Helper()
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal(data, &st); err != nil {
+		tb.Fatal(err)
+	}
+	var mkt map[string]json.RawMessage
+	if err := json.Unmarshal(st["market"], &mkt); err != nil {
+		tb.Fatal(err)
+	}
+	mkt["ledger"] = json.RawMessage(ledgerJSON)
+	st["version"] = json.RawMessage("1")
+	var err error
+	if st["market"], err = json.Marshal(mkt); err != nil {
+		tb.Fatal(err)
+	}
+	out, err := json.Marshal(st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }

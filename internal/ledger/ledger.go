@@ -5,13 +5,24 @@
 // difference is the platform's commission. The ledger double-books
 // every transfer, so conservation (Σ balances = 0 for accounts that
 // start empty) is an enforced invariant rather than an assumption.
+//
+// Every transfer is a pure function of its round's record, which the
+// round log and the event stream already carry, so the ledger keeps
+// no journal. It keeps balances, a transfer count, and a running
+// SHA-256 over a canonical encoding of every booked transfer: state
+// whose size depends on the number of accounts, not on the number of
+// rounds played, yet two ledgers with equal state have booked the same
+// payment history.
 package ledger
 
 import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
-	"sort"
 )
 
 // Account identifies a trading party.
@@ -26,72 +37,42 @@ const (
 // Seller returns the account of seller i.
 func Seller(i int) Account { return Account(fmt.Sprintf("seller-%d", i)) }
 
-// Errors returned by Ledger operations.
+// Errors returned by Ledger operations. ErrBadState wraps every reason
+// Restore refuses a state.
 var (
 	ErrNegativeAmount = errors.New("ledger: negative transfer amount")
 	ErrBadAmount      = errors.New("ledger: amount must be finite")
+	ErrBadState       = errors.New("ledger: invalid state")
 )
 
-// Entry is one journaled transfer.
-type Entry struct {
-	Round  int     `json:"round"`  // trading round the transfer settles
-	From   Account `json:"from"`   // payer
-	To     Account `json:"to"`     // payee
-	Amount float64 `json:"amount"` // non-negative
-	Memo   string  `json:"memo"`   // human-readable reason ("service reward", ...)
-}
+// recordSize is the width of one transfer in the digest's canonical
+// encoding: round (int64), payer and payee account ids (uint32 each)
+// and the amount's IEEE-754 bits, all little-endian. Account ids are
+// positions in State.Accounts, so the encoding is fixed by the state.
+const recordSize = 24
 
-// Ledger tracks balances and the full journal. The zero value is
-// ready to use. Balances may go negative: parties fund payments from
-// external wealth, and a negative balance is exactly their net spend.
+// Ledger tracks balances and a digest of every booked transfer. The
+// zero value is ready to use. Balances may go negative: parties fund
+// payments from external wealth, and a negative balance is exactly
+// their net spend.
 //
-// Accounts and memos are interned to dense int32 ids the first time a
-// booked transfer names them, so the journal is a slice of small
-// pointer-free records the garbage collector never scans, and the
-// settle path books by id without hashing strings. The exported API
-// rebuilds Entry values from the tables on demand.
+// Accounts are interned to dense int32 ids the first time a booked
+// transfer names them; the settle path books by id without hashing
+// strings.
 type Ledger struct {
-	accounts table[Account] // account id ↔ name
-	balances []float64      // account id → net position
-	memos    table[string]  // memo id ↔ text
-	journal  []record
+	accounts  []Account // account id → name
+	ids       map[Account]int32
+	balances  []float64 // account id → net position
+	transfers int64     // transfers booked
+	digest    hash.Hash // SHA-256 over the canonical records; nil before the first booking
+	pending   []byte    // records booked but not yet written to digest
 
 	// Settle-path ids, interned on the first settlement: the two
-	// market accounts, the two settlement memos, and Seller(i) ids
-	// stored +1 so that 0 marks a seller not booked yet.
-	settleReady             bool
-	consumer, platform      int32
-	rewardMemo, collectMemo int32
-	sellers                 []int32
-}
-
-// record is one journaled transfer by interned id: 32 bytes and free
-// of pointers.
-type record struct {
-	round          int64
-	amount         float64
-	from, to, memo int32
-}
-
-// table interns strings to dense int32 ids in first-seen order. The
-// zero value is an empty table.
-type table[S ~string] struct {
-	names []S
-	ids   map[S]int32
-}
-
-// intern returns s's id, adding s on first sight.
-func (t *table[S]) intern(s S) int32 {
-	if id, ok := t.ids[s]; ok {
-		return id
-	}
-	if t.ids == nil {
-		t.ids = make(map[S]int32)
-	}
-	id := int32(len(t.names))
-	t.names = append(t.names, s)
-	t.ids[s] = id
-	return id
+	// market accounts, and Seller(i) ids stored +1 so that 0 marks a
+	// seller not booked yet.
+	settleReady        bool
+	consumer, platform int32
+	sellers            []int32
 }
 
 // New returns an empty ledger.
@@ -100,10 +81,16 @@ func New() *Ledger { return &Ledger{} }
 // account returns a's id, interning it (at a zero balance) on first
 // sight.
 func (l *Ledger) account(a Account) int32 {
-	id := l.accounts.intern(a)
-	if int(id) == len(l.balances) {
-		l.balances = append(l.balances, 0)
+	if id, ok := l.ids[a]; ok {
+		return id
 	}
+	if l.ids == nil {
+		l.ids = make(map[Account]int32)
+	}
+	id := int32(len(l.accounts))
+	l.accounts = append(l.accounts, a)
+	l.balances = append(l.balances, 0)
+	l.ids[a] = id
 	return id
 }
 
@@ -118,29 +105,47 @@ func checkAmount(amount float64) error {
 	return nil
 }
 
-// book applies one validated transfer between interned ids.
-func (l *Ledger) book(round int, from, to int32, amount float64, memo int32) {
+// book applies one validated transfer between interned ids and queues
+// its canonical record for the digest.
+func (l *Ledger) book(round int, from, to int32, amount float64) {
 	l.balances[from] -= amount
 	l.balances[to] += amount
-	l.journal = append(l.journal, record{round: int64(round), amount: amount, from: from, to: to, memo: memo})
+	l.transfers++
+	le := binary.LittleEndian
+	b := le.AppendUint64(l.pending, uint64(int64(round)))
+	b = le.AppendUint32(b, uint32(from))
+	b = le.AppendUint32(b, uint32(to))
+	l.pending = le.AppendUint64(b, math.Float64bits(amount))
+}
+
+// commit feeds the queued records to the digest. The digest is a
+// stream, so booking transfers one commit at a time or many per
+// commit gives the same sum.
+func (l *Ledger) commit() {
+	if l.digest == nil {
+		l.digest = sha256.New()
+	}
+	l.digest.Write(l.pending)
+	l.pending = l.pending[:0]
 }
 
 // Transfer moves amount from one account to another in round r.
-// Zero-amount transfers are journaled too (they document a no-trade
+// Zero-amount transfers are booked too (they document a no-trade
 // round); negative or non-finite amounts are rejected and leave the
 // ledger untouched.
-func (l *Ledger) Transfer(round int, from, to Account, amount float64, memo string) error {
+func (l *Ledger) Transfer(round int, from, to Account, amount float64) error {
 	if err := checkAmount(amount); err != nil {
 		return err
 	}
-	l.book(round, l.account(from), l.account(to), amount, l.memos.intern(memo))
+	l.book(round, l.account(from), l.account(to), amount)
+	l.commit()
 	return nil
 }
 
 // Balance returns the account's current net position (0 for an
 // account no transfer has touched).
 func (l *Ledger) Balance(a Account) float64 {
-	if id, ok := l.accounts.ids[a]; ok {
+	if id, ok := l.ids[a]; ok {
 		return l.balances[id]
 	}
 	return 0
@@ -156,91 +161,140 @@ func (l *Ledger) TotalImbalance() float64 {
 	return sum
 }
 
-// entry expands a journal record into its exported form.
-func (l *Ledger) entry(r record) Entry {
-	names := l.accounts.names
-	return Entry{Round: int(r.round), From: names[r.from], To: names[r.to], Amount: r.amount, Memo: l.memos.names[r.memo]}
-}
-
-// Entries returns a copy of the journal.
-func (l *Ledger) Entries() []Entry {
-	if len(l.journal) == 0 {
-		return nil
+// ImbalanceBound is the largest |TotalImbalance| that rounding alone
+// can explain. Each booking rounds two balance updates, each off by at
+// most half an ulp of a balance no larger than today's Σ|balance| (in
+// settlement the consumer only pays and sellers only receive, and the
+// platform holds the difference), and summing the balances adds one
+// rounding per account; ε = 2⁻⁵² doubles the half-ulp for margin. The
+// bound grows with the run, so a legitimate long run never exceeds it.
+func (l *Ledger) ImbalanceBound() float64 {
+	var abs float64
+	for _, v := range l.balances {
+		abs += math.Abs(v)
 	}
-	out := make([]Entry, len(l.journal))
-	for i, r := range l.journal {
-		out[i] = l.entry(r)
-	}
-	return out
+	const eps = 0x1p-52
+	return eps * float64(2*l.transfers+int64(len(l.balances))) * abs
 }
 
-// EntriesForRound returns the journal entries of one round.
-func (l *Ledger) EntriesForRound(round int) []Entry {
-	var out []Entry
-	for _, r := range l.journal {
-		if r.round == int64(round) {
-			out = append(out, l.entry(r))
-		}
-	}
-	return out
-}
-
-// Accounts returns all accounts touched so far, sorted.
-func (l *Ledger) Accounts() []Account {
-	out := append([]Account(nil), l.accounts.names...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// State is the serializable state of a Ledger: the journal alone.
-// Balances are a pure fold over the journal, so Restore rebuilds them
-// instead of trusting a second copy that could disagree.
+// State is the serializable state of a Ledger. Its size depends on the
+// number of accounts only. Balances encode as shortest-repr JSON
+// numbers, which decode to the same bits, so a restored ledger keeps
+// booking exactly as the original would have.
 type State struct {
-	Journal []Entry `json:"journal"`
+	Accounts  []Account `json:"accounts"`  // account names in id order
+	Balances  []float64 `json:"balances"`  // net position per account
+	Transfers int64     `json:"transfers"` // transfers booked
+	// Digest is the SHA-256 state (encoding.BinaryMarshaler) after
+	// hashing the canonical record of every booked transfer in booking
+	// order. Equal digests mean equal payment histories.
+	Digest []byte `json:"digest"`
 }
 
 // State exports the ledger for persistence.
 func (l *Ledger) State() State {
-	return State{Journal: l.Entries()}
+	h := l.digest
+	if h == nil {
+		h = sha256.New()
+	}
+	d, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("ledger: sha256 state: %v", err)) // never fails for crypto/sha256
+	}
+	return State{
+		Accounts:  append([]Account(nil), l.accounts...),
+		Balances:  append([]float64(nil), l.balances...),
+		Transfers: l.transfers,
+		Digest:    d,
+	}
 }
 
-// Restore replaces the ledger's contents by replaying an exported
-// journal through the same validation as live transfers, so a
-// corrupted snapshot cannot smuggle in a NaN or negative amount.
+// Restore replaces the ledger's contents with an exported state. It
+// refuses, with an error wrapping ErrBadState and leaving the ledger
+// untouched, any state no sequence of valid transfers could have
+// produced as far as it can tell: mismatched lengths, duplicate
+// accounts, accounts without transfers, non-finite balances or ones
+// whose magnitudes overflow when summed, a malformed digest or one
+// over a different number of transfers, and a conservation residual
+// beyond ImbalanceBound.
 func (l *Ledger) Restore(st State) error {
-	var fresh Ledger
-	fresh.journal = make([]record, 0, len(st.Journal))
-	for i, e := range st.Journal {
-		if err := fresh.Transfer(e.Round, e.From, e.To, e.Amount, e.Memo); err != nil {
-			return fmt.Errorf("ledger: journal entry %d: %w", i, err)
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{ErrBadState}, args...)...)
+	}
+	if len(st.Accounts) != len(st.Balances) {
+		return bad("%d accounts with %d balances", len(st.Accounts), len(st.Balances))
+	}
+	if st.Transfers < 0 || st.Transfers > math.MaxInt64/recordSize {
+		return bad("transfer count %d", st.Transfers)
+	}
+	if int64(len(st.Accounts)) > 2*st.Transfers {
+		return bad("%d accounts after %d transfers", len(st.Accounts), st.Transfers)
+	}
+	fresh := Ledger{
+		accounts:  append([]Account(nil), st.Accounts...),
+		ids:       make(map[Account]int32, len(st.Accounts)),
+		balances:  append([]float64(nil), st.Balances...),
+		transfers: st.Transfers,
+		digest:    sha256.New(),
+	}
+	for i, a := range fresh.accounts {
+		if _, dup := fresh.ids[a]; dup {
+			return bad("duplicate account %q", a)
 		}
+		fresh.ids[a] = int32(i)
+		if v := fresh.balances[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return bad("balance of %q is %v", a, v)
+		}
+	}
+	if err := fresh.digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(st.Digest); err != nil {
+		return bad("digest: %v", err)
+	}
+	// The SHA-256 state ends with the big-endian count of bytes hashed.
+	if n := binary.BigEndian.Uint64(st.Digest[len(st.Digest)-8:]); n != uint64(st.Transfers)*recordSize {
+		return bad("digest covers %d bytes, %d transfers need %d", n, st.Transfers, st.Transfers*recordSize)
+	}
+	tol := fresh.ImbalanceBound()
+	if math.IsInf(tol, 0) {
+		return bad("balances overflow")
+	}
+	if imb := fresh.TotalImbalance(); math.Abs(imb) > tol {
+		return bad("conservation residual %g exceeds %g", imb, tol)
 	}
 	*l = fresh
 	return nil
 }
 
-// SettleRound books one round's CDT payments: the consumer pays the
-// platform reward·1 (p^J·Στ) and the platform pays seller i
-// sellerPay[i] (p·τ_i), journaled in ascending seller id. A failed
-// call leaves the ledger untouched.
-func (l *Ledger) SettleRound(round int, reward float64, sellerPay map[int]float64) error {
-	ids := make([]int, 0, len(sellerPay))
-	for id := range sellerPay {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	pay := make([]float64, len(ids))
-	for j, id := range ids {
-		pay[j] = sellerPay[id]
-	}
-	return l.SettleRoundSorted(round, reward, ids, pay)
+// Entry is one transfer of a version-1 snapshot, which stored the
+// whole journal instead of its fold.
+type Entry struct {
+	Round  int     `json:"round"`  // trading round the transfer settles
+	From   Account `json:"from"`   // payer
+	To     Account `json:"to"`     // payee
+	Amount float64 `json:"amount"` // non-negative
+	Memo   string  `json:"memo"`   // human-readable reason ("service reward", ...)
 }
 
-// SettleRoundSorted is the allocation-free form of SettleRound: ids
-// and pay are parallel slices with ids sorted ascending and free of
-// duplicates (the journal order SettleRound produces). Violations are
-// rejected before anything is booked, so a failed call leaves the
-// ledger untouched.
+// FromJournal folds a version-1 journal into the state a ledger that
+// booked the same transfers live would hold, replaying each entry
+// through Transfer so a corrupted journal cannot smuggle in a NaN or a
+// negative amount. Memos are dropped: a settlement's memo follows
+// from its direction.
+func FromJournal(journal []Entry) (State, error) {
+	var l Ledger
+	for i, e := range journal {
+		if err := l.Transfer(e.Round, e.From, e.To, e.Amount); err != nil {
+			return State{}, fmt.Errorf("ledger: journal entry %d: %w", i, err)
+		}
+	}
+	return l.State(), nil
+}
+
+// SettleRoundSorted books one round's CDT payments: the consumer pays
+// the platform reward (p^J·Στ) and the platform pays seller ids[j]
+// pay[j] (p·τ_j), in that order. ids must be sorted ascending and free
+// of duplicates, so the booking order — and with it the digest — is
+// deterministic. Violations are rejected before anything is booked,
+// so a failed call leaves the ledger untouched.
 func (l *Ledger) SettleRoundSorted(round int, reward float64, ids []int, pay []float64) error {
 	if len(ids) != len(pay) {
 		return fmt.Errorf("ledger: %d seller ids for %d payments", len(ids), len(pay))
@@ -260,13 +314,13 @@ func (l *Ledger) SettleRoundSorted(round int, reward float64, ids []int, pay []f
 	}
 	if !l.settleReady {
 		l.consumer, l.platform = l.account(Consumer), l.account(Platform)
-		l.rewardMemo, l.collectMemo = l.memos.intern("data service reward"), l.memos.intern("data collection reward")
 		l.settleReady = true
 	}
-	l.book(round, l.consumer, l.platform, reward, l.rewardMemo)
+	l.book(round, l.consumer, l.platform, reward)
 	for j, id := range ids {
-		l.book(round, l.platform, l.sellerAccount(id), pay[j], l.collectMemo)
+		l.book(round, l.platform, l.sellerAccount(id), pay[j])
 	}
+	l.commit()
 	return nil
 }
 
@@ -284,26 +338,4 @@ func (l *Ledger) sellerAccount(i int) int32 {
 		l.sellers[i] = l.account(Seller(i)) + 1
 	}
 	return l.sellers[i] - 1
-}
-
-// Commission returns the platform's net take for a round: reward in
-// minus seller payments out.
-func (l *Ledger) Commission(round int) float64 {
-	platform, ok := l.accounts.ids[Platform]
-	if !ok {
-		return 0
-	}
-	var in, out float64
-	for _, r := range l.journal {
-		if r.round != int64(round) {
-			continue
-		}
-		if r.to == platform {
-			in += r.amount
-		}
-		if r.from == platform {
-			out += r.amount
-		}
-	}
-	return in - out
 }

@@ -62,10 +62,13 @@ func (l Lease) Expired(now time.Time, grace time.Duration) bool {
 // an unexpired lease (the caller should proxy or retry after the
 // holder's expiry); ErrLeaseLost means the caller's claim is stale —
 // its lease was stolen at a higher epoch — and it must stop serving
-// and writing the job immediately.
+// and writing the job immediately. ErrLeaseLockBusy means the job's
+// lease lock stayed held by live writers for longer than a stale lock
+// may live; the operation did nothing and may be retried.
 var (
-	ErrLeaseHeld = errors.New("server: lease held by another node")
-	ErrLeaseLost = errors.New("server: lease lost (stolen at a higher epoch)")
+	ErrLeaseHeld     = errors.New("server: lease held by another node")
+	ErrLeaseLost     = errors.New("server: lease lost (stolen at a higher epoch)")
+	ErrLeaseLockBusy = errors.New("server: lease lock contended")
 )
 
 // LeaseStore is the optional Store extension for multi-node job
@@ -163,10 +166,14 @@ func (f *FileStore) now() time.Time {
 // withLeaseLock runs fn while holding id's lease lock file. The lock
 // is the cross-process serialization point for every lease mutation
 // and fenced write; a stale lock (older than lockStaleAfter) left by a
-// crashed writer is broken.
+// crashed writer is broken. A live holder is waited for up to
+// lockStaleAfter — however slow its fsyncs, its lock is either
+// released or broken by then — so only a chain of fresh holders that
+// outlasts that bound gives up, with ErrLeaseLockBusy.
 func (f *FileStore) withLeaseLock(id string, fn func() error) error {
 	lock := f.lockPath(id)
-	for attempt := 0; ; attempt++ {
+	start := time.Now()
+	for {
 		h, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
 			h.Close()
@@ -182,8 +189,8 @@ func (f *FileStore) withLeaseLock(id string, fn func() error) error {
 			os.Remove(lock)
 			continue
 		}
-		if attempt >= 50 {
-			return fmt.Errorf("server: lease lock %s: contended", id)
+		if time.Since(start) > lockStaleAfter {
+			return fmt.Errorf("%w: %s", ErrLeaseLockBusy, id)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

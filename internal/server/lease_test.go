@@ -260,6 +260,28 @@ func TestLeaseStaleLockBroken(t *testing.T) {
 	}
 }
 
+// TestLeaseWaitsOutSlowHolder: a live writer that holds the lease lock
+// for longer than a quick retry budget (a slow fsync under load) makes
+// the other writer wait, not fail.
+func TestLeaseWaitsOutSlowHolder(t *testing.T) {
+	a, _, _ := leasePair(t)
+	lock := a.lockPath("job-1")
+	if err := os.WriteFile(lock, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	go func() {
+		time.Sleep(250 * time.Millisecond)
+		os.Remove(lock)
+		close(released)
+	}()
+	_, err := a.AcquireLease("job-1", "a", time.Second)
+	<-released
+	if err != nil {
+		t.Fatalf("acquire behind a slow live holder: %v", err)
+	}
+}
+
 func TestLeaseSweep(t *testing.T) {
 	a, _, clk := leasePair(t)
 	ttl := time.Second

@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cmabhs"
+	"cmabhs/internal/core"
 )
 
 func TestFileStoreBasics(t *testing.T) {
@@ -283,5 +286,94 @@ func TestFileStoreListSkipsForeignAndPartialFiles(t *testing.T) {
 		// The two snapshots are junk JSON here, so LoadAll fails on
 		// content — but it must fail on CONTENT, not on foreign files.
 		t.Log("LoadAll accepted junk snapshots (fine for this test)")
+	}
+}
+
+// TestLoadAllVersion1Snapshot: a state dir written while snapshots
+// still carried the ledger's full journal (mechanism state version 1)
+// loads on a snapshot store and on a WAL store, and the job continues
+// exactly like a run that never stopped. The WAL store folds what it
+// loaded into a fresh base, which is then the current version.
+func TestLoadAllVersion1Snapshot(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "..", "testdata", "session_v1_m20-k5-faults-r40.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cmabhs.ResumeSession(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err = cmabhs.NewSession(ref.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Advance(0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateVersion := func(data []byte) int {
+		var env struct{ State struct{ Version int } }
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		return env.State.Version
+	}
+	stores := map[string]func(dir string) (Store, error){
+		"file": func(dir string) (Store, error) { return NewFileStore(dir) },
+		"wal": func(dir string) (Store, error) {
+			ws, err := NewWALStore(dir)
+			if err == nil {
+				t.Cleanup(func() { ws.Close() })
+			}
+			return ws, err
+		},
+	}
+	for kind, open := range stores {
+		t.Run(kind, func(t *testing.T) {
+			store, err := open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Save("job-7", fixture); err != nil {
+				t.Fatal(err)
+			}
+			srv := New()
+			srv.Store = store
+			if err := srv.LoadAll(); err != nil {
+				t.Fatalf("load version-1 snapshot: %v", err)
+			}
+			if kind == "wal" {
+				base, err := store.Load("job-7")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v := stateVersion(base); v != core.StateVersion {
+					t.Errorf("WAL recovery left a version-%d base", v)
+				}
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			var st JobStatus
+			if code := do(t, ts, http.MethodGet, "/v1/jobs/job-7", nil, &st); code != http.StatusOK || st.NextRound != 41 {
+				t.Fatalf("loaded job: code %d, next round %d", code, st.NextRound)
+			}
+			var adv AdvanceResponse
+			if code := do(t, ts, http.MethodPost, "/v1/jobs/job-7/advance", AdvanceRequest{Rounds: 1000}, &adv); code != http.StatusOK || !adv.Status.Done {
+				t.Fatalf("advance: code %d, status %+v", code, adv.Status)
+			}
+			if err := srv.SaveAll(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := store.Load("job-7")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("continued job saved %d bytes unlike the uninterrupted run's %d", len(got), len(want))
+			}
+		})
 	}
 }

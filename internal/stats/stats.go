@@ -1,7 +1,7 @@
 // Package stats provides the summary-statistics substrate used by the
 // experiment harness: streaming moment accumulators, series
-// aggregation across replications, quantiles, histograms, and
-// confidence intervals.
+// aggregation across replications, quantiles, and confidence
+// intervals.
 package stats
 
 import (
@@ -121,51 +121,6 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	under  int64
-	over   int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [lo, hi). It panics on invalid arguments.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records x, counting out-of-range values in under/overflow bins.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard float edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
 
 // Point is one (X, Y) sample of a result series, with dispersion.
 type Point struct {

@@ -115,32 +115,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	for _, x := range []float64{-0.5, 0, 0.05, 0.15, 0.95, 0.999999, 1, 2} {
-		h.Add(x)
-	}
-	if h.Total() != 5 {
-		t.Errorf("in-range total = %d", h.Total())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("outliers = %d/%d", under, over)
-	}
-	if h.Counts[0] != 2 { // 0 and 0.05
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[9] != 2 { // 0.95 and 0.999999
-		t.Errorf("bin9 = %d", h.Counts[9])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid params should panic")
-		}
-	}()
-	NewHistogram(1, 0, 10)
-}
-
 func TestSeriesBuilder(t *testing.T) {
 	b := NewSeriesBuilder("revenue")
 	b.Observe(2, 10)

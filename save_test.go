@@ -172,3 +172,102 @@ func TestResultAvgGuardsPublic(t *testing.T) {
 		t.Errorf("AvgSellerProfit on empty result = %v", v)
 	}
 }
+
+// TestSaveResumeAtPaperHorizon: a session saved near the end of a
+// 50k-round run (the paper's longest horizon) resumes and finishes
+// exactly like the uninterrupted run. By then rounding has left the
+// ledger's balances a nonzero distance from summing to zero; Resume's
+// conservation check, whose bound grows with the run, must accept it.
+func TestSaveResumeAtPaperHorizon(t *testing.T) {
+	const horizon, at = 50000, 49990
+	cfg := cmabhs.RandomConfig(20, 5, horizon, 17)
+	ref, err := cmabhs.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Advance(at); err != nil {
+		t.Fatal(err)
+	}
+	data, err := ref.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		State struct {
+			Market struct {
+				Ledger struct{ Balances []float64 }
+			}
+		}
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var residual float64
+	for _, b := range snap.State.Market.Ledger.Balances {
+		residual += b
+	}
+	if residual == 0 {
+		t.Fatal("balances sum to exactly zero: the conservation bound is not exercised")
+	}
+	t.Logf("ledger residual after %d rounds: %g (%d-byte save)", at, residual, len(data))
+	resumed, err := cmabhs.ResumeSession(data)
+	if err != nil {
+		t.Fatalf("resume at round %d: %v", at, err)
+	}
+	got, err := resumed.Advance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Advance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.Done() || !ref.Done() {
+		t.Fatal("runs not done at the horizon")
+	}
+	if g, w := mustJSON(t, got.Played), mustJSON(t, want.Played); !bytes.Equal(g, w) {
+		t.Fatalf("resumed rounds differ from the uninterrupted run:\n%s\n%s", g, w)
+	}
+	a, err := resumed.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ref.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("final saves differ")
+	}
+	if _, err := cmabhs.ResumeSession(b); err != nil {
+		t.Fatalf("resume at the horizon: %v", err)
+	}
+}
+
+// TestSaveSizeConstantInRounds: what a session persists does not grow
+// with the rounds it has played. Over the first ~100 rounds the save
+// still grows by a few KB as balances go from round 1's exploration
+// payments (short decimals such as 5) to full-precision floats; after
+// that only integer counters gain digits.
+func TestSaveSizeConstantInRounds(t *testing.T) {
+	sess, err := cmabhs.NewSession(cmabhs.RandomConfig(300, 10, 5000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(n int) int {
+		t.Helper()
+		if _, err := sess.Advance(n); err != nil {
+			t.Fatal(err)
+		}
+		data, err := sess.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
+	}
+	early := size(100)
+	late := size(4900)
+	if d := late - early; d < -2048 || d > 2048 {
+		t.Fatalf("save is %d bytes after 100 rounds and %d after 5000", early, late)
+	}
+}
