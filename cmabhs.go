@@ -489,27 +489,31 @@ type Result struct {
 
 // coreObserver adapts a public RoundObserver to the internal hook.
 // A nil observer maps to nil, keeping the unobserved hot path a
-// single nil check.
+// single nil check. The adapter fills one RoundEvent in place every
+// round: the event is borrowed, so observers never see it outlive
+// their call.
 func coreObserver(obs RoundObserver) core.RoundObserver {
 	if obs == nil {
 		return nil
 	}
+	pub := new(RoundEvent)
 	return func(ev *core.RoundEvent) {
-		obs(&RoundEvent{
+		*pub = RoundEvent{
 			Round:           publicRound(ev.Record),
 			UCB:             ev.UCB,
 			FailedSellers:   ev.Failed,
 			Regret:          ev.Regret,
 			ExpectedRevenue: ev.ExpectedRevenue,
 			ConsumerSpend:   ev.ConsumerSpend,
-		})
+		}
+		obs(pub)
 	}
 }
 
 // publicRound converts an internal round record (NaN-bearing fields
 // sanitized for JSON users). The Round SHARES the record's slices —
-// right for the borrowed observer path; use ownedRound when the caller
-// keeps the result.
+// right for the borrowed paths (observer events, AdvanceEach); use
+// owned when the caller keeps the result.
 func publicRound(r *core.RoundRecord) Round {
 	agg := r.AggRMSE
 	if math.IsNaN(agg) {
@@ -531,15 +535,15 @@ func publicRound(r *core.RoundRecord) Round {
 	}
 }
 
-// ownedRound converts an internal round record into a Round with its
-// own slice storage, detached from the mechanism's pooled per-round
-// buffers — what public callers that retain records receive.
-func ownedRound(r *core.RoundRecord) Round {
-	pub := publicRound(r)
-	pub.Selected = append([]int(nil), pub.Selected...)
-	pub.SensingTimes = append([]float64(nil), pub.SensingTimes...)
-	pub.SellerProfits = append([]float64(nil), pub.SellerProfits...)
-	return pub
+// owned returns a copy of r with its own slice storage, detached from
+// the mechanism's pooled per-round buffers — what public callers that
+// retain records receive.
+func (r *Round) owned() Round {
+	c := *r
+	c.Selected = append([]int(nil), r.Selected...)
+	c.SensingTimes = append([]float64(nil), r.SensingTimes...)
+	c.SellerProfits = append([]float64(nil), r.SellerProfits...)
+	return c
 }
 
 // AvgConsumerProfit returns the consumer's average per-round profit,

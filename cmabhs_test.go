@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -499,6 +500,58 @@ func TestSessionAdvanceContext(t *testing.T) {
 	}
 	if whole.RealizedRevenue != sess.Result().RealizedRevenue {
 		t.Error("RunContext and session should agree exactly")
+	}
+}
+
+// TestSessionAdvanceEach checks the borrowed-round advance against a
+// twin on AdvanceContext: the same rounds in the same order, handed
+// over one at a time in storage the next round reuses, with the
+// observer firing first and its event reused too.
+func TestSessionAdvanceEach(t *testing.T) {
+	cfg := RandomConfig(20, 4, 40, 17)
+	twin, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.AdvanceContext(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []*RoundEvent
+	lastObserved := 0
+	sess.Observe(func(ev *RoundEvent) {
+		events = append(events, ev)
+		lastObserved = ev.Round.Round
+	})
+	var got []Round
+	var borrowed []*Round
+	played, stopped, err := sess.AdvanceEach(context.Background(), 0, func(r *Round) {
+		if lastObserved != r.Round {
+			t.Fatalf("round %d handed over before its observer ran (observer at %d)", r.Round, lastObserved)
+		}
+		got = append(got, r.owned())
+		borrowed = append(borrowed, r)
+	})
+	if err != nil || stopped != "" || played != len(want.Played) || !sess.Done() {
+		t.Fatalf("AdvanceEach: played %d of %d, stopped %q, err %v", played, len(want.Played), stopped, err)
+	}
+	if !reflect.DeepEqual(got, want.Played) {
+		t.Fatal("AdvanceEach rounds differ from AdvanceContext's")
+	}
+	if borrowed[0] != borrowed[len(borrowed)-1] || events[0] != events[len(events)-1] {
+		t.Fatal("the borrowed round and the observer event should be reused every round")
+	}
+
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	fresh, _ := NewSession(cfg)
+	played, stopped, err = fresh.AdvanceEach(dead, 5, func(*Round) { t.Fatal("round played on a dead context") })
+	if played != 0 || stopped != StoppedCanceled || err != nil {
+		t.Fatalf("dead-ctx AdvanceEach: played %d, stopped %q, err %v", played, stopped, err)
 	}
 }
 

@@ -1,14 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sort"
 	"testing"
 
 	"cmabhs"
+	"cmabhs/internal/server"
 	"cmabhs/internal/tracing"
 )
 
@@ -46,6 +51,38 @@ func benchSession(m, k, rounds int) *cmabhs.Session {
 	return sess
 }
 
+// benchBroker builds a broker the way cdt-server does — a tracer on,
+// access log discarded — with one m-seller job, and returns its
+// handler and the job's id, or aborts the run.
+func benchBroker(m, k int) (http.Handler, string) {
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "cdt-bench:", err)
+		os.Exit(1)
+	}
+	lg, err := tracing.NewLogger(io.Discard, "text", "info")
+	if err != nil {
+		fail(err)
+	}
+	srv := server.New()
+	srv.Logger = lg
+	srv.Tracer = tracing.New(tracing.DefaultCapacity)
+	h := srv.Handler()
+	body, err := json.Marshal(server.JobRequest{RandomSellers: m, K: k, Rounds: 1_000_000_000, Seed: 1})
+	if err != nil {
+		fail(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	var st server.JobStatus
+	if rec.Code != http.StatusCreated {
+		fail(fmt.Errorf("create job: status %d: %s", rec.Code, rec.Body))
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		fail(err)
+	}
+	return h, st.ID
+}
+
 // microBenches is the short benchmark set CI runs on every PR.
 var microBenches = []benchCase{
 	{"advance_round_m50_k5", func(b *testing.B) {
@@ -66,6 +103,23 @@ var microBenches = []benchCase{
 		for i := 0; i < b.N; i++ {
 			if _, err := sess.AdvanceContext(context.Background(), 1); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}},
+	{"broker_advance_m300_k10_r25", func(b *testing.B) {
+		// One traced 25-round advance through the real handler: the
+		// request frame, round spans, observer fan-out and the
+		// response body, on top of the rounds themselves.
+		h, id := benchBroker(300, 10)
+		payload := []byte(`{"rounds":25}`)
+		path := "/v1/jobs/" + id + "/advance"
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(payload)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("advance status %d: %s", rec.Code, rec.Body)
 			}
 		}
 	}},

@@ -53,20 +53,20 @@ func fatal(msg string, err error) {
 
 func main() {
 	var (
-		m         = flag.Int("m", 300, "number of candidate sellers M")
-		k         = flag.Int("k", 10, "sellers selected per round K")
-		n         = flag.Int("n", 100_000, "trading rounds N")
-		l         = flag.Int("l", 10, "points of interest L")
-		seed      = flag.Int64("seed", 1, "random seed")
-		policy    = flag.String("policy", "cmab-hs", "selection policy: cmab-hs|optimal|epsilon-first|epsilon-greedy|random|thompson|ucb1")
-		epsilon   = flag.Float64("epsilon", 0.1, "epsilon for the epsilon policies")
-		solver    = flag.String("solver", "closed-form", "game solver: closed-form|exact|numeric")
-		omega     = flag.Float64("omega", 1000, "consumer valuation omega")
-		theta     = flag.Float64("theta", 0.1, "platform cost theta")
-		lambda    = flag.Float64("lambda", 1, "platform cost lambda")
-		sd        = flag.Float64("sd", 0.1, "observation noise std-dev")
-		verbose   = flag.Int("verbose-rounds", 0, "print the first N round records")
-		compare   = flag.Bool("compare", false, "run every policy on the same market and print a comparison table")
+		m          = flag.Int("m", 300, "number of candidate sellers M")
+		k          = flag.Int("k", 10, "sellers selected per round K")
+		n          = flag.Int("n", 100_000, "trading rounds N")
+		l          = flag.Int("l", 10, "points of interest L")
+		seed       = flag.Int64("seed", 1, "random seed")
+		policy     = flag.String("policy", "cmab-hs", "selection policy: cmab-hs|optimal|epsilon-first|epsilon-greedy|random|thompson|ucb1")
+		epsilon    = flag.Float64("epsilon", 0.1, "epsilon for the epsilon policies")
+		solver     = flag.String("solver", "closed-form", "game solver: closed-form|exact|numeric")
+		omega      = flag.Float64("omega", 1000, "consumer valuation omega")
+		theta      = flag.Float64("theta", 0.1, "platform cost theta")
+		lambda     = flag.Float64("lambda", 1, "platform cost lambda")
+		sd         = flag.Float64("sd", 0.1, "observation noise std-dev")
+		verbose    = flag.Int("verbose-rounds", 0, "print the first N round records")
+		compare    = flag.Bool("compare", false, "run every policy on the same market and print a comparison table")
 		logPath    = flag.String("log", "", "write the round-by-round trade journal (JSONL) to this path")
 		tracePath  = flag.String("trace", "", "derive the seller population from this mobility-trace CSV (see cdt-trace)")
 		savePath   = flag.String("save", "", "write a resumable snapshot to this path when the run is interrupted or finishes")

@@ -102,6 +102,12 @@ func ForEach(ctx context.Context, n int, opts Options, fn func(ctx context.Conte
 	}
 dispatch:
 	for i := 0; i < n; i++ {
+		// A select with a free worker and a cancelled batch picks
+		// either case at random; checking first keeps fail-fast from
+		// handing out more tasks after the first failure.
+		if runCtx.Err() != nil {
+			break
+		}
 		select {
 		case next <- i:
 		case <-runCtx.Done():

@@ -53,14 +53,26 @@ func TestMapDeterministicOrdering(t *testing.T) {
 }
 
 func TestForEachFirstErrorPropagates(t *testing.T) {
+	const workers = 2
 	boom := errors.New("boom")
 	var started atomic.Int32
-	err := ForEach(context.Background(), 1000, Options{Workers: 2}, func(ctx context.Context, i int) error {
+	err := ForEach(context.Background(), 1000, Options{Workers: workers}, func(ctx context.Context, i int) error {
 		started.Add(1)
-		if i == 3 {
+		switch {
+		case i == 3:
 			return fmt.Errorf("task payload: %w", boom)
+		case i < 3:
+			return nil
 		}
-		return nil
+		// Every later task holds its worker until the batch is
+		// cancelled, so none finishes before task 3 fails. The guard
+		// turns a missed cancellation into a failure, not a hang.
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("batch never cancelled")
+		}
 	})
 	if err == nil {
 		t.Fatal("want error")
@@ -72,9 +84,10 @@ func TestForEachFirstErrorPropagates(t *testing.T) {
 	if !errors.As(err, &te) || te.Index != 3 {
 		t.Fatalf("error %v does not identify the failing task", err)
 	}
-	// Fail-fast: the vast majority of the batch must never start.
-	if n := started.Load(); n > 900 {
-		t.Errorf("fail-fast still started %d/1000 tasks", n)
+	// Fail-fast: past tasks 0–3, each worker can hold one task when
+	// the batch is cancelled and be handed at most one more.
+	if n := started.Load(); n > 4+2*workers {
+		t.Errorf("fail-fast still started %d/1000 tasks, want <= %d", n, 4+2*workers)
 	}
 }
 

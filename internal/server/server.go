@@ -43,6 +43,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1021,12 +1022,31 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 	defer s.pool().Release()
+	// The body is built while the rounds play: each borrowed round is
+	// encoded straight into the pooled buffer, so no round is copied
+	// and the body is never re-encoded. The bytes are exactly
+	// json.Marshal(AdvanceResponse{...}) plus a newline.
+	const head = `{"played":`
+	body := getRespBuf()
+	defer body.release()
+	body.WriteString(head)
+	var encErr error
 	start := time.Now()
 	j.mu.Lock()
 	j.traceHook = s.roundSpanHook(r.Context(), j.id)
-	adv, err := j.sess.AdvanceContext(r.Context(), req.Rounds)
+	played, stopped, err := j.sess.AdvanceEach(r.Context(), req.Rounds, func(rd *cmabhs.Round) {
+		if encErr != nil {
+			return
+		}
+		sep := byte(',')
+		if body.Len() == len(head) {
+			sep = '['
+		}
+		body.WriteByte(sep)
+		encErr = body.value(rd)
+	})
 	j.traceHook = nil
-	j.recordAdvance(len(adv.Played), time.Since(start))
+	j.recordAdvance(played, time.Since(start))
 	var leaseLost bool
 	if j.walLog {
 		// Flush the rounds the observer buffered to the WAL and
@@ -1051,8 +1071,26 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, j *job) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.met().roundsAdvanced.Add(uint64(len(adv.Played)))
-	writeJSON(w, http.StatusOK, AdvanceResponse{Played: adv.Played, Stopped: adv.Stopped, Status: st})
+	s.met().roundsAdvanced.Add(uint64(played))
+	if played == 0 {
+		body.WriteString("null")
+	} else {
+		body.WriteByte(']')
+	}
+	if encErr == nil && stopped != "" {
+		body.WriteString(`,"stopped":`)
+		encErr = body.value(stopped)
+	}
+	if encErr == nil {
+		body.WriteString(`,"status":`)
+		encErr = body.value(&st)
+	}
+	if encErr != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: %v", encErr)
+		return
+	}
+	body.WriteString("}\n")
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, j *job) {
@@ -1281,19 +1319,29 @@ func (s *Server) replayWAL(wal RoundWAL, id string, sess *cmabhs.Session, lease 
 	if len(tail) == 0 {
 		return 0, nil
 	}
-	adv, err := sess.AdvanceContext(context.Background(), len(tail))
+	// Each replayed round is checked in place, borrowed, against its
+	// logged record; the first divergence is reported once the replay
+	// ends, after a short replay.
+	var diverged error
+	i := 0
+	played, stopped, err := sess.AdvanceEach(context.Background(), len(tail), func(r *cmabhs.Round) {
+		if diverged == nil {
+			if err := sameRound(r, &tail[i]); err != nil {
+				diverged = fmt.Errorf("server: recover %s: replay diverged at round %d: %w",
+					id, tail[i].Round, err)
+			}
+		}
+		i++
+	})
 	if err != nil {
 		return 0, fmt.Errorf("server: recover %s: replay: %w", id, err)
 	}
-	if len(adv.Played) != len(tail) {
+	if played != len(tail) {
 		return 0, fmt.Errorf("server: recover %s: replayed %d of %d logged rounds (stopped: %q)",
-			id, len(adv.Played), len(tail), adv.Stopped)
+			id, played, len(tail), stopped)
 	}
-	for i := range tail {
-		if err := sameRound(&adv.Played[i], &tail[i]); err != nil {
-			return 0, fmt.Errorf("server: recover %s: replay diverged at round %d: %w",
-				id, tail[i].Round, err)
-		}
+	if diverged != nil {
+		return 0, diverged
 	}
 	return len(tail), nil
 }
@@ -1393,19 +1441,67 @@ type DeleteResponse struct {
 
 // writeJSON encodes v before committing the status line, so an
 // encoding failure becomes a 500 error envelope rather than a truncated
-// 200. The bytes match json.Encoder's: the value plus a newline. Every
-// float reaching here is finite by construction (DESIGN §8): inputs are
-// held to the economics envelope at entry, and JobStatus zeroes the
-// result fields a job does not measure.
+// 200. The bytes match json.Encoder's: the value plus a newline,
+// encoded once into a pooled buffer. Every float reaching here is
+// finite by construction (DESIGN §8): inputs are held to the economics
+// envelope at entry, and JobStatus zeroes the result fields a job does
+// not measure.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
+	body := getRespBuf()
+	defer body.release()
+	if err := body.enc.Encode(v); err != nil {
 		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
+	writeBody(w, code, body)
+}
+
+// writeBody commits the status line and writes a finished JSON body.
+func writeBody(w http.ResponseWriter, code int, body *respBuf) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(body.Bytes())
+}
+
+// maxPooledBody is the largest response buffer returned to the pool;
+// the rare bigger body (a 100k-round advance) is left to the GC
+// rather than pinned.
+const maxPooledBody = 1 << 20
+
+// respBufs pools response bodies across requests.
+var respBufs = sync.Pool{New: func() any {
+	b := new(respBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	return b
+}}
+
+// respBuf is a pooled response body with an encoder bound to it. The
+// encoder writes json.Marshal's bytes plus a newline.
+type respBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+func getRespBuf() *respBuf {
+	b := respBufs.Get().(*respBuf)
+	b.Reset()
+	return b
+}
+
+func (b *respBuf) release() {
+	if b.Cap() <= maxPooledBody {
+		respBufs.Put(b)
+	}
+}
+
+// value appends v's JSON without the encoder's trailing newline, for
+// building a body piece by piece. On error nothing is appended.
+func (b *respBuf) value(v any) error {
+	if err := b.enc.Encode(v); err != nil {
+		return err
+	}
+	b.Truncate(b.Len() - 1)
+	return nil
 }
 
 // ErrorBody is the structured half of the error envelope: a stable

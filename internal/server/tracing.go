@@ -71,7 +71,7 @@ func sanitizeRequestID(id string) string {
 }
 
 // roundSpanHook builds the tracing RoundObserver adapter for one
-// advance request: each completed round becomes a child span of the
+// advance request: each completed round becomes a leaf span under the
 // request span, backdated to the previous round boundary and carrying
 // the job id and round index as attributes. The hook is strictly
 // passive — it reads the event and writes only into the tracer.
@@ -81,7 +81,7 @@ func (s *Server) roundSpanHook(ctx context.Context, jobID string) func(*cmabhs.R
 	if parent == nil {
 		return nil
 	}
-	tr := s.Tracing()
+	job := any(jobID) // boxed once per advance, not once per round
 	n := 0
 	last := time.Now()
 	return func(ev *cmabhs.RoundEvent) {
@@ -92,8 +92,8 @@ func (s *Server) roundSpanHook(ctx context.Context, jobID string) func(*cmabhs.R
 			}
 			return
 		}
-		_, sp := tr.StartSpanAt(ctx, "round", last)
-		sp.SetAttr("job_id", jobID)
+		sp := parent.StartLeafAt("round", last)
+		sp.SetAttr("job_id", job)
 		sp.SetAttr("round", ev.Round.Round)
 		if ev.Round.NoTrade {
 			sp.SetAttr("no_trade", true)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cmabhs"
 	"cmabhs/internal/core"
 )
 
@@ -312,5 +314,59 @@ func TestWALBrokerRecoversFromTornTail(t *testing.T) {
 	}
 	if st := ws2.WALStats(); st.TornTails != 1 {
 		t.Fatalf("torn tail not counted: %+v", st)
+	}
+}
+
+// TestReplayWALChecksEveryRound drives recovery's replay directly: a
+// faithful segment replays in full, a doctored record is reported as
+// a divergence at its round, and a segment longer than the session
+// can play is reported as a short replay.
+func TestReplayWALChecksEveryRound(t *testing.T) {
+	cfg := cmabhs.RandomConfig(12, 3, 20, 5)
+	twin, err := cmabhs.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := twin.AdvanceContext(context.Background(), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := make([]core.RoundRecord, len(adv.Played))
+	for i := range adv.Played {
+		logged[i] = walRecord(&adv.Played[i])
+	}
+	replay := func(horizon int, recs []core.RoundRecord) (int, error) {
+		t.Helper()
+		ws := newWALStore(t)
+		if err := ws.ResetWAL("job-1", 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.AppendWAL("job-1", recs); err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Rounds = horizon
+		sess, err := cmabhs.NewSession(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New().replayWAL(ws, "job-1", sess, nil)
+	}
+
+	if n, err := replay(20, logged); err != nil || n != 12 {
+		t.Fatalf("faithful replay: %d rounds, %v", n, err)
+	}
+
+	doctored := append([]core.RoundRecord(nil), logged...)
+	doctored[4].PJ += 1
+	doctored[7].P += 1 // a later divergence is not the one reported
+	_, err = replay(20, doctored)
+	if err == nil || !strings.Contains(err.Error(), "replay diverged at round 5: consumer price") {
+		t.Fatalf("doctored replay error %v, want a divergence at round 5", err)
+	}
+
+	_, err = replay(10, logged)
+	if err == nil || !strings.Contains(err.Error(), "replayed 10 of 12 logged rounds") {
+		t.Fatalf("short replay error %v", err)
 	}
 }

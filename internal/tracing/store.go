@@ -22,16 +22,18 @@ type Store struct {
 	mu       sync.Mutex
 	capacity int
 	maxSpans int
-	order    []string // trace ids, oldest first
-	traces   map[string]*traceEntry
+	order    []TraceID // oldest first
+	traces   map[TraceID]*traceEntry
 
 	evicted      uint64 // traces evicted by the ring
 	droppedSpans uint64 // spans dropped by the per-trace cap
 }
 
+// traceEntry holds one trace's finished spans, frozen, in finish
+// order. Their wire form is rendered only when the store is read.
 type traceEntry struct {
 	first   time.Time
-	spans   []SpanData
+	spans   []*Span
 	dropped int
 }
 
@@ -44,7 +46,7 @@ func NewStore(capacity int) *Store {
 	return &Store{
 		capacity: capacity,
 		maxSpans: DefaultMaxSpansPerTrace,
-		traces:   make(map[string]*traceEntry, capacity),
+		traces:   make(map[TraceID]*traceEntry, capacity),
 	}
 }
 
@@ -61,10 +63,10 @@ func (s *Store) SetMaxSpansPerTrace(n int) {
 
 // add records one finished span, evicting the oldest trace if the
 // ring is full.
-func (s *Store) add(data SpanData) {
+func (s *Store) add(sp *Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.traces[data.TraceID]
+	e, ok := s.traces[sp.trace]
 	if !ok {
 		if len(s.order) >= s.capacity {
 			oldest := s.order[0]
@@ -72,19 +74,19 @@ func (s *Store) add(data SpanData) {
 			delete(s.traces, oldest)
 			s.evicted++
 		}
-		e = &traceEntry{first: data.Start}
-		s.traces[data.TraceID] = e
-		s.order = append(s.order, data.TraceID)
+		e = &traceEntry{first: sp.start}
+		s.traces[sp.trace] = e
+		s.order = append(s.order, sp.trace)
 	}
 	if len(e.spans) >= s.maxSpans {
 		e.dropped++
 		s.droppedSpans++
 		return
 	}
-	if data.Start.Before(e.first) {
-		e.first = data.Start
+	if sp.start.Before(e.first) {
+		e.first = sp.start
 	}
-	e.spans = append(e.spans, data)
+	e.spans = append(e.spans, sp)
 }
 
 // Len returns the number of traces currently held.
@@ -110,7 +112,7 @@ func (s *Store) DroppedSpans() uint64 {
 
 // TraceSummary is one row of the trace listing.
 type TraceSummary struct {
-	TraceID string    `json:"trace_id"`
+	TraceID string `json:"trace_id"`
 	// Name is the root span's name (the span without a parent; the
 	// first recorded span when the root was evicted or still open).
 	Name     string    `json:"name"`
@@ -129,7 +131,7 @@ func (s *Store) Traces() []TraceSummary {
 		id := s.order[i]
 		e := s.traces[id]
 		sum := TraceSummary{
-			TraceID: id,
+			TraceID: id.String(),
 			Start:   e.first,
 			Spans:   len(e.spans),
 			Dropped: e.dropped,
@@ -137,13 +139,13 @@ func (s *Store) Traces() []TraceSummary {
 		if len(e.spans) > 0 {
 			root := e.spans[0]
 			for _, sp := range e.spans {
-				if sp.ParentID == "" {
+				if sp.parent.IsZero() {
 					root = sp
 					break
 				}
 			}
-			sum.Name = root.Name
-			sum.Duration = root.Duration
+			sum.Name = root.name
+			sum.Duration = root.dur.Seconds()
 		}
 		out = append(out, sum)
 	}
@@ -159,17 +161,22 @@ type TraceDetail struct {
 	Dropped int        `json:"dropped_spans,omitempty"`
 }
 
-// Trace returns the spans of one trace by hex id.
+// Trace returns the spans of one trace by its canonical id: 32
+// lowercase hex characters, as TraceID.String renders it.
 func (s *Store) Trace(id string) (TraceDetail, bool) {
+	var tid TraceID
+	if !decodeLowerHex(tid[:], id) {
+		return TraceDetail{}, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.traces[id]
+	e, ok := s.traces[tid]
 	if !ok {
 		return TraceDetail{}, false
 	}
-	return TraceDetail{
-		TraceID: id,
-		Spans:   append([]SpanData(nil), e.spans...),
-		Dropped: e.dropped,
-	}, true
+	spans := make([]SpanData, len(e.spans))
+	for i, sp := range e.spans {
+		spans[i] = sp.data()
+	}
+	return TraceDetail{TraceID: id, Spans: spans, Dropped: e.dropped}, true
 }

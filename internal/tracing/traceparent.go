@@ -30,20 +30,24 @@ func ParseTraceparent(h string) (trace TraceID, span SpanID, ok bool) {
 	if len(h) > 55 && (version == "00" || h[55] != '-') {
 		return trace, span, false
 	}
-	traceHex, spanHex, flagsHex := h[3:35], h[36:52], h[53:55]
-	if !isLowerHex(traceHex) || !isLowerHex(spanHex) || !isLowerHex(flagsHex) {
+	if !isLowerHex(h[53:55]) {
 		return trace, span, false
 	}
-	if _, err := hex.Decode(trace[:], []byte(traceHex)); err != nil {
-		return trace, span, false
-	}
-	if _, err := hex.Decode(span[:], []byte(spanHex)); err != nil {
-		return TraceID{}, span, false
-	}
-	if trace.IsZero() || span.IsZero() {
+	if !decodeLowerHex(trace[:], h[3:35]) || !decodeLowerHex(span[:], h[36:52]) ||
+		trace.IsZero() || span.IsZero() {
 		return TraceID{}, SpanID{}, false
 	}
 	return trace, span, true
+}
+
+// decodeLowerHex fills dst from s, which must be exactly 2*len(dst)
+// lowercase hex characters — the only form trace-context ids take.
+func decodeLowerHex(dst []byte, s string) bool {
+	if len(s) != 2*len(dst) || !isLowerHex(s) {
+		return false
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // FormatTraceparent renders a version-00 traceparent header for the

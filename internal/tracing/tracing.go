@@ -178,6 +178,25 @@ func (t *Tracer) StartSpanAt(ctx context.Context, name string, start time.Time) 
 	return context.WithValue(ctx, spanKey, sp), sp
 }
 
+// StartLeafAt opens a child of s that will never have children of
+// its own — a round span under its request span — without building a
+// context for it. start backdates it like StartSpanAt. On a nil span
+// it returns nil.
+func (s *Span) StartLeafAt(name string, start time.Time) *Span {
+	if s == nil {
+		return nil
+	}
+	sp := &Span{
+		tracer: s.tracer,
+		trace:  s.trace,
+		id:     s.tracer.NewSpanID(),
+		parent: s.id,
+		name:   name,
+		start:  start,
+	}
+	return sp
+}
+
 // Span is one unit of traced work. All methods are safe on a nil
 // receiver (no-ops) and safe for concurrent use; after End the span
 // is frozen and later mutations are ignored.
@@ -190,10 +209,20 @@ type Span struct {
 	mu     sync.Mutex
 	name   string
 	start  time.Time
-	attrs  map[string]any
+	dur    time.Duration // set by End
+	attrs  []attr        // in SetAttr order, one entry per key
+	inline [4]attr       // backs attrs for the usual few attributes
 	events []SpanEvent
 	errMsg string
 	ended  bool
+}
+
+// attr is one span attribute. A span keeps its handful of attributes
+// in a slice, not a map: recording one is an append, and the map the
+// wire form carries is built only when the span is read.
+type attr struct {
+	key   string
+	value any
 }
 
 // TraceID returns the span's trace id (zero on a nil span).
@@ -223,10 +252,16 @@ func (s *Span) SetAttr(key string, value any) *Span {
 	if s.ended {
 		return s
 	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return s
+		}
 	}
-	s.attrs[key] = value
+	if s.attrs == nil {
+		s.attrs = s.inline[:0]
+	}
+	s.attrs = append(s.attrs, attr{key, value})
 	return s
 }
 
@@ -262,7 +297,9 @@ func (s *Span) SetError(err error) {
 }
 
 // End freezes the span and records it into the tracer's store. Only
-// the first End records; later calls are ignored.
+// the first End records; later calls are ignored. The store keeps the
+// frozen span itself; its wire form, SpanData, is built only when the
+// store is read.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -273,33 +310,40 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	data := SpanData{
+	s.dur = time.Since(s.start)
+	s.mu.Unlock()
+	s.tracer.store.add(s)
+}
+
+// data renders a frozen span's wire form. Only called on ended spans,
+// which never change again, so it reads them without the span lock
+// (the store's lock orders it after End).
+func (s *Span) data() SpanData {
+	d := SpanData{
 		TraceID:  s.trace.String(),
 		SpanID:   s.id.String(),
 		Name:     s.name,
 		Start:    s.start,
-		Duration: time.Since(s.start).Seconds(),
+		Duration: s.dur.Seconds(),
 		Error:    s.errMsg,
 	}
 	if !s.parent.IsZero() {
-		data.ParentID = s.parent.String()
+		d.ParentID = s.parent.String()
 	}
 	if len(s.attrs) > 0 {
-		attrs := make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			attrs[k] = v
+		d.Attrs = make(map[string]any, len(s.attrs))
+		for _, a := range s.attrs {
+			d.Attrs[a.key] = a.value
 		}
-		data.Attrs = attrs
 	}
 	if len(s.events) > 0 {
-		data.Events = append([]SpanEvent(nil), s.events...)
+		d.Events = append([]SpanEvent(nil), s.events...)
 	}
-	s.mu.Unlock()
-	s.tracer.store.add(data)
+	return d
 }
 
-// SpanData is the immutable record of a finished span — what the
-// store keeps and /debug/traces serves.
+// SpanData is the wire form of a finished span — what Store.Trace
+// returns and /debug/traces serves.
 type SpanData struct {
 	TraceID  string         `json:"trace_id"`
 	SpanID   string         `json:"span_id"`

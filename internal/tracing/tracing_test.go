@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -132,13 +133,21 @@ func TestStartSpanAtBackdates(t *testing.T) {
 	}
 }
 
+// rootSpan records a finished single-span trace through tr.
+func rootSpan(tr *Tracer, name string) *Span {
+	_, sp := tr.StartSpan(context.Background(), name)
+	sp.End()
+	return sp
+}
+
 func TestStoreEvictionOrder(t *testing.T) {
-	s := NewStore(3)
+	tr := NewSeeded(8, 3)
+	s := tr.Store()
+	var roots []*Span
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id := fmt.Sprintf("%032d", i)
-		ids = append(ids, id)
-		s.add(SpanData{TraceID: id, SpanID: "s", Name: "n", Start: time.Now()})
+		roots = append(roots, rootSpan(tr, "n"))
+		ids = append(ids, roots[i].TraceID().String())
 	}
 	if s.Len() != 3 {
 		t.Fatalf("store holds %d traces, want 3", s.Len())
@@ -163,24 +172,84 @@ func TestStoreEvictionOrder(t *testing.T) {
 		t.Fatalf("listing order wrong: %+v", list)
 	}
 	// A span for an already-stored trace must not evict anything.
-	s.add(SpanData{TraceID: ids[3], SpanID: "s2", Name: "n2", Start: time.Now()})
+	roots[3].StartLeafAt("n2", time.Now()).End()
 	if s.Evicted() != 2 || s.Len() != 3 {
 		t.Fatal("adding to a live trace evicted something")
+	}
+	if d, _ := s.Trace(ids[3]); len(d.Spans) != 2 {
+		t.Fatalf("live trace holds %d spans, want 2", len(d.Spans))
 	}
 }
 
 func TestStoreSpanCapCountsDrops(t *testing.T) {
-	s := NewStore(4)
+	tr := NewSeeded(9, 4)
+	s := tr.Store()
 	s.SetMaxSpansPerTrace(3)
+	ctx, root := tr.StartSpan(context.Background(), "root")
 	for i := 0; i < 10; i++ {
-		s.add(SpanData{TraceID: "t", SpanID: fmt.Sprint(i), Name: "n", Start: time.Now()})
+		_, sp := tr.StartSpan(ctx, fmt.Sprint(i))
+		sp.End()
 	}
-	detail, _ := s.Trace("t")
+	detail, _ := s.Trace(root.TraceID().String())
 	if len(detail.Spans) != 3 {
 		t.Fatalf("%d spans kept, want 3", len(detail.Spans))
 	}
 	if detail.Dropped != 7 || s.DroppedSpans() != 7 {
 		t.Fatalf("dropped %d/%d, want 7", detail.Dropped, s.DroppedSpans())
+	}
+}
+
+// TestStoreTraceCanonicalID pins the lookup grammar: Store.Trace
+// answers the 32-character lowercase hex id TraceID.String renders,
+// and nothing else — not uppercase, not a prefix, not padded.
+func TestStoreTraceCanonicalID(t *testing.T) {
+	tr := NewSeeded(10, 4)
+	id := rootSpan(tr, "n").TraceID().String()
+	if _, ok := tr.Store().Trace(id); !ok {
+		t.Fatalf("canonical id %s not found", id)
+	}
+	for _, bad := range []string{
+		strings.ToUpper(id),
+		id[:31],
+		id + "0",
+		" " + id,
+		"",
+		strings.Repeat("0", 32),
+		strings.Repeat("g", 32),
+	} {
+		if _, ok := tr.Store().Trace(bad); ok {
+			t.Errorf("Trace(%q) found a trace", bad)
+		}
+	}
+}
+
+// TestStartLeafAt checks a leaf span joins its parent's trace under
+// the parent, is backdated, and records like any other span.
+func TestStartLeafAt(t *testing.T) {
+	tr := NewSeeded(11, 4)
+	_, root := tr.StartSpan(context.Background(), "root")
+	leaf := root.StartLeafAt("leaf", time.Now().Add(-time.Second))
+	leaf.SetAttr("round", 7)
+	leaf.SetAttr("round", 8) // overwrites, one entry per key
+	leaf.End()
+	root.End()
+	detail, _ := tr.Store().Trace(root.TraceID().String())
+	if len(detail.Spans) != 2 {
+		t.Fatalf("%d spans stored, want 2", len(detail.Spans))
+	}
+	l := detail.Spans[0]
+	if l.Name != "leaf" || l.ParentID != root.SpanID().String() || l.TraceID != root.TraceID().String() {
+		t.Fatalf("leaf span %+v not under root %s", l, root.SpanID())
+	}
+	if l.Duration < 0.9 {
+		t.Fatalf("leaf duration %gs, want ~1s", l.Duration)
+	}
+	if len(l.Attrs) != 1 || l.Attrs["round"] != 8 {
+		t.Fatalf("leaf attrs %v, want round=8", l.Attrs)
+	}
+	var nilSpan *Span
+	if nilSpan.StartLeafAt("x", time.Now()) != nil {
+		t.Fatal("nil parent returned a leaf")
 	}
 }
 
@@ -251,5 +320,50 @@ func TestNewLoggerValidation(t *testing.T) {
 	lg.Debug("hidden")
 	if strings.Contains(sb.String(), "hidden") {
 		t.Fatal("debug line emitted at info level")
+	}
+}
+
+// TestStoreConcurrentRecordAndRead records spans from several
+// goroutines — including late SetAttr calls on spans already ended —
+// while another renders the store, for the race detector: the store
+// hands out frozen spans it reads without their locks.
+func TestStoreConcurrentRecordAndRead(t *testing.T) {
+	tr := NewSeeded(13, 16)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				_, root := tr.StartSpan(context.Background(), "root")
+				leaf := root.StartLeafAt("leaf", time.Now())
+				leaf.SetAttr("round", i)
+				leaf.End()
+				root.End()
+				leaf.SetAttr("late", true)
+				root.AddEvent("late", nil)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			for _, sum := range tr.Store().Traces() {
+				if d, ok := tr.Store().Trace(sum.TraceID); ok {
+					for _, sp := range d.Spans {
+						if sp.Attrs["late"] != nil || len(sp.Events) != 0 {
+							t.Error("a mutation after End reached the store")
+							return
+						}
+					}
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	if got := tr.Store().Len(); got != 16 {
+		t.Fatalf("store holds %d traces, want 16", got)
 	}
 }

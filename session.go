@@ -13,8 +13,9 @@ import (
 // lets callers inspect learning state mid-run. Not safe for
 // concurrent use; guard it with a mutex when sharing.
 type Session struct {
-	mech *core.Mechanism
-	cfg  Config // the configuration the session was built from, for Save
+	mech  *core.Mechanism
+	cfg   Config // the configuration the session was built from, for Save
+	round Round  // the borrowed round AdvanceEach hands out
 }
 
 // NewSession validates the configuration and prepares a run without
@@ -63,7 +64,8 @@ func (s *Session) Step() (*Round, error) {
 	if rec == nil {
 		return nil, nil
 	}
-	r := ownedRound(rec)
+	pub := publicRound(rec)
+	r := pub.owned()
 	return &r, nil
 }
 
@@ -91,19 +93,31 @@ type Advance struct {
 // cumulative state, and a later call with a live context resumes
 // where this one left off. This is what lets a broker abort a
 // long-running advance on client disconnect without losing progress.
+// It is AdvanceEach with every round copied into Advance.Played.
 func (s *Session) AdvanceContext(ctx context.Context, n int) (Advance, error) {
-	// Ride the mechanism's batched fast path: each round's pooled
-	// record is converted to an owned public Round in place, skipping
-	// the intermediate internal-record copies.
 	var adv Advance
-	_, reason, err := s.mech.AdvanceN(ctx, n, func(rec *core.RoundRecord) {
-		adv.Played = append(adv.Played, ownedRound(rec))
+	_, stopped, err := s.AdvanceEach(ctx, n, func(r *Round) {
+		adv.Played = append(adv.Played, r.owned())
 	})
-	adv.Stopped = reason
+	adv.Stopped = stopped
+	return adv, err
+}
+
+// AdvanceEach plays rounds exactly like AdvanceContext but hands each
+// one to fn as it completes instead of collecting them. The *Round is
+// borrowed, like an observer's RoundEvent: it and its slices are
+// overwritten by the next round, so fn copies (or encodes) what it
+// keeps. fn runs after the round's observer. It returns the number of
+// rounds played and the early-stop reason ("" or StoppedCanceled).
+func (s *Session) AdvanceEach(ctx context.Context, n int, fn func(*Round)) (played int, stopped string, err error) {
+	played, stopped, err = s.mech.AdvanceN(ctx, n, func(rec *core.RoundRecord) {
+		s.round = publicRound(rec)
+		fn(&s.round)
+	})
 	if err != nil {
-		return adv, fmt.Errorf("cmabhs: %w", err)
+		err = fmt.Errorf("cmabhs: %w", err)
 	}
-	return adv, nil
+	return played, stopped, err
 }
 
 // Estimates returns the current quality estimates q̄_i.
