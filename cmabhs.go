@@ -401,10 +401,9 @@ func (c Config) build() (*core.Config, bandit.Policy, error) {
 	var policy bandit.Policy
 	switch c.Policy {
 	case PolicyCMABHS:
-		// The incremental tournament selector ranks the exact same Eq. 19
-		// indices as bandit.UCBGreedy (bit-identical selections, same
-		// policy name) in O(K log M) amortized time without allocating.
-		policy = bandit.NewIncrementalUCB()
+		// One linear Eq. 19 scan per round into reused buffers, so a
+		// warm round allocates nothing (DESIGN §14).
+		policy = &bandit.UCBGreedy{}
 	case PolicyOptimal:
 		policy = bandit.NewOracle(means)
 	case PolicyEpsilonFirst:

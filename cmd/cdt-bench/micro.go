@@ -106,6 +106,34 @@ var microBenches = []benchCase{
 			}
 		}
 	}},
+	{"advance_round_m300_k10_young", func(b *testing.B) {
+		// Rounds 250–5000 of an observed m300/k10 job, the age band
+		// the broker's advance workload plays in, where UCB is still
+		// exploring. Each band gets a fresh session whose first 249
+		// rounds are played off the clock.
+		const first, last = 250, 5000
+		var sess *cmabhs.Session
+		fresh := func() {
+			sess = benchSession(300, 10, last)
+			sess.Observe(func(*cmabhs.RoundEvent) {})
+			if _, err := sess.AdvanceContext(context.Background(), first-1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fresh()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if sess.NextRound() > last {
+				b.StopTimer()
+				fresh()
+				b.StartTimer()
+			}
+			if _, err := sess.AdvanceContext(context.Background(), 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}},
 	{"broker_advance_m300_k10_r25", func(b *testing.B) {
 		// One traced 25-round advance through the real handler: the
 		// request frame, round spans, observer fan-out and the

@@ -139,13 +139,17 @@ func (a *Arms) UCBFactor(k int) float64 {
 // the selection policies and the observer snapshot all go through it.
 func (a *Arms) UCBAt(i int, factor float64) float64 {
 	if a.inactive[i] {
-		return math.Inf(-1)
+		return negInf
 	}
 	if a.count[i] == 0 {
-		return math.Inf(1)
+		return posInf
 	}
 	return a.mean[i] + math.Sqrt(factor/float64(a.count[i]))
 }
+
+// posInf and negInf are UCBAt's ±Inf, held in variables so the
+// per-arm index stays cheap enough for the compiler to inline.
+var posInf, negInf = math.Inf(1), math.Inf(-1)
 
 // Confidence returns the additive exploration term ε_i of Eq. 19
 // (+Inf for unobserved arms).
@@ -268,11 +272,19 @@ func TopKInto(dst []int, scores []float64, k int) []int {
 	if cap(best) < k {
 		best = make([]int, 0, k)
 	}
-	for i := range scores {
+	// kth is the buffer's last score once it is full. Arms arrive in
+	// index order, so a later arm that does not beat kth (ties go to
+	// the lower index) cannot enter; the test is false for NaN, which
+	// takes the general path.
+	var kth float64
+	for i, s := range scores {
+		if len(best) == k && s <= kth {
+			continue
+		}
 		pos := len(best)
 		for pos > 0 {
 			j := best[pos-1]
-			if scores[j] > scores[i] || (scores[j] == scores[i] && j < i) {
+			if scores[j] > s || (scores[j] == s && j < i) {
 				break
 			}
 			pos--
@@ -283,6 +295,9 @@ func TopKInto(dst []int, scores []float64, k int) []int {
 			}
 			copy(best[pos+1:], best[pos:len(best)-1])
 			best[pos] = i
+			if len(best) == k {
+				kth = scores[best[k-1]]
+			}
 		}
 	}
 	return best

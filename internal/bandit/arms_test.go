@@ -292,15 +292,3 @@ func BenchmarkTopK300x10(b *testing.B) {
 		TopK(scores, 10)
 	}
 }
-
-func BenchmarkUCBSelect300(b *testing.B) {
-	arms := NewArms(300)
-	for i := 0; i < 300; i++ {
-		arms.Update(i, []float64{0.5, 0.6, 0.4})
-	}
-	p := UCBGreedy{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.SelectK(i+1, arms, 10)
-	}
-}

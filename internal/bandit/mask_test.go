@@ -51,7 +51,7 @@ func TestPoliciesRespectMask(t *testing.T) {
 	arms.Deactivate(0)
 	arms.Deactivate(1)
 	policies := []Policy{
-		UCBGreedy{},
+		&UCBGreedy{},
 		UCB1Greedy{},
 		NewOracle(means),
 		NewRandom(src.Split(1)),
@@ -69,7 +69,7 @@ func TestPoliciesRespectMask(t *testing.T) {
 		}
 	}
 	// Greedy policies agree the survivors' best pair is {2, 3}.
-	got := UCBGreedy{}.SelectK(99, arms, 2)
+	got := (&UCBGreedy{}).SelectK(99, arms, 2)
 	if got[0] != 2 || got[1] != 3 {
 		t.Errorf("UCB picked %v, want [2 3]", got)
 	}

@@ -21,21 +21,38 @@ type Policy interface {
 }
 
 // UCBGreedy is the paper's CMAB-HS bandit policy: select the K arms
-// with the largest extended UCB indices (Eq. 19). Unobserved arms
-// rank first, so the cold-start behaviour is pure exploration.
-type UCBGreedy struct{}
+// with the largest extended UCB indices (Eq. 19), ties to the lower
+// index. Unobserved arms rank first, so the cold-start behaviour is
+// pure exploration.
+//
+// A round is one linear scan: the round factor once (UCBFactor), one
+// UCBAt per arm into a reused score buffer, and TopKInto a reused
+// selection buffer — no allocation once the buffers are sized, and no
+// state beyond them, so nothing has to be told when the estimator
+// changes. The zero value is ready to use. SelectK reuses its buffers,
+// so one value serves one run at a time.
+type UCBGreedy struct {
+	scores []float64 // Eq. 19 indices of the current round
+	sel    []int     // selection returned by the last SelectK
+}
 
 // Name implements Policy.
-func (UCBGreedy) Name() string { return "CMAB-HS" }
+func (*UCBGreedy) Name() string { return "CMAB-HS" }
 
-// SelectK implements Policy.
-func (UCBGreedy) SelectK(round int, arms *Arms, k int) []int {
-	scores := make([]float64, arms.M())
+// SelectK implements Policy. The returned slice is valid until the
+// next SelectK call on this policy.
+func (p *UCBGreedy) SelectK(round int, arms *Arms, k int) []int {
+	m := arms.M()
+	if cap(p.scores) < m {
+		p.scores = make([]float64, m)
+	}
+	scores := p.scores[:m]
 	factor := arms.UCBFactor(k)
 	for i := range scores {
 		scores[i] = arms.UCBAt(i, factor)
 	}
-	return TopK(scores, k)
+	p.sel = TopKInto(p.sel, scores, k)
+	return p.sel
 }
 
 // UCB1Greedy is the ablation variant using the classic UCB1 index
@@ -203,8 +220,9 @@ func (t *Thompson) SelectK(round int, arms *Arms, k int) []int {
 
 // PolicyState is the serializable state of a stateful policy. It is a
 // tagged union: exactly one field is set, matching the policy type.
-// Stateless policies (UCBGreedy, UCB1Greedy, Oracle) have no entry —
-// everything they need lives in the shared Arms estimator.
+// Policies without such state (UCBGreedy, UCB1Greedy, Oracle, whose
+// buffers are scratch) have no entry — everything they need lives in
+// the shared Arms estimator.
 type PolicyState struct {
 	RNG        *rng.State       `json:"rng,omitempty"`
 	Window     *WindowState     `json:"window,omitempty"`
@@ -316,7 +334,7 @@ func randomSubset(arms *Arms, k int, src *rng.Source) []int {
 }
 
 var (
-	_ Policy = UCBGreedy{}
+	_ Policy = (*UCBGreedy)(nil)
 	_ Policy = UCB1Greedy{}
 	_ Policy = (*Oracle)(nil)
 	_ Policy = (*Random)(nil)

@@ -26,7 +26,7 @@ func TestUCBGreedyPrefersUnobserved(t *testing.T) {
 	arms.Update(1, []float64{0.95})
 	arms.Update(2, []float64{0.99})
 	// Arms 3 and 4 unobserved => infinite UCB => always selected.
-	got := UCBGreedy{}.SelectK(2, arms, 2)
+	got := (&UCBGreedy{}).SelectK(2, arms, 2)
 	if !(contains(got, 3) && contains(got, 4)) {
 		t.Fatalf("unobserved arms should be explored first, got %v", got)
 	}
@@ -35,7 +35,7 @@ func TestUCBGreedyPrefersUnobserved(t *testing.T) {
 func TestUCBGreedyExploitsWithEqualCounts(t *testing.T) {
 	means := []float64{0.1, 0.9, 0.5, 0.8, 0.3}
 	arms := seedArms(means, 100)
-	got := UCBGreedy{}.SelectK(2, arms, 2)
+	got := (&UCBGreedy{}).SelectK(2, arms, 2)
 	// Equal counts: UCB order == mean order.
 	if got[0] != 1 || got[1] != 3 {
 		t.Fatalf("got %v, want [1 3]", got)

@@ -156,8 +156,8 @@ func TestUCBGreedyRegretSublinear(t *testing.T) {
 		}
 		return tracker.Regret()
 	}
-	ucbShort := run(UCBGreedy{}, 2000)
-	ucbLong := run(UCBGreedy{}, 8000)
+	ucbShort := run(&UCBGreedy{}, 2000)
+	ucbLong := run(&UCBGreedy{}, 8000)
 	randShort := run(NewRandom(src.Split(1)), 2000)
 	randLong := run(NewRandom(src.Split(2)), 8000)
 	// Random is linear: 4x the rounds ≈ 4x the regret.
@@ -209,7 +209,7 @@ func TestCounterSchemeLemma18(t *testing.T) {
 	for _, i := range tracker.OptimalSet() {
 		optSet[i] = true
 	}
-	p := UCBGreedy{}
+	p := &UCBGreedy{}
 	for round := 2; round <= n; round++ {
 		sel := p.SelectK(round, arms, k)
 		tracker.Record(sel)

@@ -42,7 +42,7 @@ func allFaults(seed int64) *faults.Config {
 // short and long schedules.
 func runSoak(t *testing.T, s Scenario, kills []int) {
 	t.Helper()
-	policy := func() bandit.Policy { return bandit.UCBGreedy{} }
+	policy := func() bandit.Policy { return &bandit.UCBGreedy{} }
 	ref, err := RunClean(s, policy())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)

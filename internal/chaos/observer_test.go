@@ -21,7 +21,7 @@ import (
 func TestObserverBitIdentityUnderFaults(t *testing.T) {
 	s := Scenario{M: 10, K: 3, Rounds: 60, Seed: 11, Faults: allFaults(101)}
 
-	ctrl, err := core.NewMechanism(s.Config(), bandit.UCBGreedy{})
+	ctrl, err := core.NewMechanism(s.Config(), &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestObserverBitIdentityUnderFaults(t *testing.T) {
 		cp.UCB = append([]float64(nil), ev.UCB...) // events are borrowed
 		events = append(events, cp)
 	}
-	obs, err := core.NewMechanism(cfg, bandit.UCBGreedy{})
+	obs, err := core.NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestObserverBitIdentityUnderFaults(t *testing.T) {
 func TestObserverTracingAndStreamingPassivity(t *testing.T) {
 	s := Scenario{M: 10, K: 3, Rounds: 60, Seed: 11, Faults: allFaults(101)}
 
-	ctrl, err := core.NewMechanism(s.Config(), bandit.UCBGreedy{})
+	ctrl, err := core.NewMechanism(s.Config(), &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestObserverTracingAndStreamingPassivity(t *testing.T) {
 			dropped++
 		}
 	}
-	obs, err := core.NewMechanism(cfg, bandit.UCBGreedy{})
+	obs, err := core.NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func (s *ucbSpy) SelectK(round int, arms *bandit.Arms, k int) []int {
 // bit for every seller, including after churn has withdrawn some.
 func TestObserverUCBMatchesArms(t *testing.T) {
 	s := Scenario{M: 12, K: 4, Rounds: 200, Seed: 5, Faults: allFaults(23)}
-	spy := &ucbSpy{inner: bandit.UCBGreedy{}, seen: map[int][]float64{}}
+	spy := &ucbSpy{inner: &bandit.UCBGreedy{}, seen: map[int][]float64{}}
 	cfg := s.Config()
 	checked, withdrawn := 0, 0
 	cfg.Observer = func(ev *core.RoundEvent) {

@@ -9,7 +9,7 @@ import (
 
 // TestAdvanceSteadyStateAllocFree pins the hot-path invariant of the
 // allocation-free advance pipeline: once warm, a full trading round —
-// churn schedule, incremental top-K selection, the closed-form
+// churn schedule, the top-K selection scan, the closed-form
 // Stackelberg game, collection, settlement, estimator updates, and
 // observer dispatch — performs zero heap allocations. (The ledger
 // keeps no journal: its record buffer for the digest is sized on the
@@ -18,7 +18,7 @@ func TestAdvanceSteadyStateAllocFree(t *testing.T) {
 	cfg, _ := testConfig(t, 300, 10, 1<<30, 3, 9)
 	var observed int
 	cfg.Observer = func(ev *RoundEvent) { observed = ev.Round }
-	m, err := NewMechanism(cfg, bandit.NewIncrementalUCB())
+	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func BenchmarkObservedRound(b *testing.B) {
 			if observed {
 				cfg.Observer = func(*RoundEvent) {}
 			}
-			m, err := NewMechanism(cfg, bandit.NewIncrementalUCB())
+			m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -80,11 +80,11 @@ func BenchmarkObservedRound(b *testing.B) {
 func TestAdvanceNMatchesAdvanceContext(t *testing.T) {
 	cfgA, _ := testConfig(t, 20, 4, 60, 3, 11)
 	cfgB, _ := testConfig(t, 20, 4, 60, 3, 11)
-	a, err := NewMechanism(cfgA, bandit.UCBGreedy{})
+	a, err := NewMechanism(cfgA, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMechanism(cfgB, bandit.UCBGreedy{})
+	b, err := NewMechanism(cfgB, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}

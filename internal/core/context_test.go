@@ -12,7 +12,7 @@ import (
 // resumable.
 func TestAdvanceContextAlreadyCancelled(t *testing.T) {
 	cfg, _ := testConfig(t, 10, 3, 50, 5, 1)
-	m, err := NewMechanism(cfg, bandit.UCBGreedy{})
+	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAdvanceContextMidRunCancellation(t *testing.T) {
 			cancel()
 		}
 	}
-	m, err := NewMechanism(cfg, bandit.UCBGreedy{})
+	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunContextPartialResult(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunContext(ctx, cfg, bandit.UCBGreedy{})
+	res, err := RunContext(ctx, cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestRunContextPartialResult(t *testing.T) {
 // exactly Run.
 func TestRunContextBackground(t *testing.T) {
 	cfg, _ := testConfig(t, 8, 2, 30, 5, 1)
-	a, err := RunContext(context.Background(), cfg, bandit.UCBGreedy{})
+	a, err := RunContext(context.Background(), cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(func() *Config { c, _ := testConfig(t, 8, 2, 30, 5, 1); return c }(), bandit.UCBGreedy{})
+	b, err := Run(func() *Config { c, _ := testConfig(t, 8, 2, 30, 5, 1); return c }(), &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}

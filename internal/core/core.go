@@ -285,7 +285,6 @@ type Mechanism struct {
 	sellerTotals []float64 // cumulative profit per seller
 
 	feedback bandit.RoundFeedback  // non-nil when the policy learns per round
-	sync     bandit.SelectionSync  // non-nil when the policy maintains selection state incrementally
 	dynModel quality.NonStationary // non-nil for drifting-quality markets
 	dynTrack *bandit.DynamicRegret // dynamic-oracle regret accumulator
 	dynNow   []float64             // scratch: expectations at the current round
@@ -361,9 +360,6 @@ func NewMechanism(cfg *Config, policy bandit.Policy) (*Mechanism, error) {
 	}
 	if fb, ok := policy.(bandit.RoundFeedback); ok {
 		mech.feedback = fb
-	}
-	if sy, ok := policy.(bandit.SelectionSync); ok {
-		mech.sync = sy
 	}
 	if dyn, ok := cfg.Market.Quality.(quality.NonStationary); ok {
 		mech.dynModel = dyn
@@ -513,11 +509,6 @@ func (m *Mechanism) exploreRound() (*RoundRecord, error) {
 		}
 		roundRealized += numutil.SumSlice(obs[j])
 	}
-	if m.sync != nil {
-		// Every arm just (potentially) changed; one bulk invalidation
-		// beats M per-arm notifications.
-		m.sync.InvalidateSelection()
-	}
 	// Profits are accounted post-hoc against the just-learned
 	// estimates (the mechanism knows nothing before this round).
 	params := m.mkt.GameParams(all, m.arms.Means(), m.cfg.minQ())
@@ -553,9 +544,6 @@ func (m *Mechanism) gameRound(t int) (*RoundRecord, error) {
 	for m.churnNext < len(m.churnSched) && m.churnSched[m.churnNext].round <= t {
 		i := m.churnSched[m.churnNext].seller
 		m.arms.Deactivate(i)
-		if m.sync != nil {
-			m.sync.ArmChanged(i)
-		}
 		m.churnNext++
 	}
 	k := m.cfg.K
@@ -604,9 +592,6 @@ func (m *Mechanism) gameRound(t int) (*RoundRecord, error) {
 		}
 		m.delivered = append(m.delivered, i)
 		m.arms.Update(i, obs[j])
-		if m.sync != nil {
-			m.sync.ArmChanged(i)
-		}
 		if m.feedback != nil {
 			m.feedback.ObserveRound(t, i, obs[j])
 		}

@@ -86,7 +86,7 @@ func TestRunNilPolicy(t *testing.T) {
 func TestRunBasicShape(t *testing.T) {
 	cfg, _ := testConfig(t, 8, 3, 50, 4, 2)
 	cfg.KeepRounds = true
-	res, err := Run(cfg, bandit.UCBGreedy{})
+	res, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRunDeterministicQualityConvergesToOracle(t *testing.T) {
 		},
 		K: k,
 	}
-	res, err := Run(cfg, bandit.UCBGreedy{})
+	res, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRunLedgerConservation(t *testing.T) {
 	// observer to count and rebuild the market via the public pieces.
 	var poCSum float64
 	cfg.Observer = func(ev *RoundEvent) { poCSum += ev.Record.PoC }
-	res, err := Run(cfg, bandit.UCBGreedy{})
+	res, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRunLedgerConservation(t *testing.T) {
 func TestRunCheckpoints(t *testing.T) {
 	cfg, _ := testConfig(t, 8, 3, 60, 4, 9)
 	cfg.Checkpoints = []int{10, 30, 60}
-	res, err := Run(cfg, bandit.UCBGreedy{})
+	res, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRunCheckpoints(t *testing.T) {
 func TestRunReproducible(t *testing.T) {
 	run := func() *Result {
 		cfg, _ := testConfig(t, 8, 3, 80, 4, 11)
-		res, err := Run(cfg, bandit.UCBGreedy{})
+		res, err := Run(cfg, &bandit.UCBGreedy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestRunRegretOrdering(t *testing.T) {
 	// regret; CMAB-HS below the Theorem 19 bound.
 	cfg, means := testConfig(t, 15, 3, 2000, 5, 13)
 	src := rng.New(99)
-	ucb, err := Run(cfg, bandit.UCBGreedy{})
+	ucb, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +277,13 @@ func TestRunRegretOrdering(t *testing.T) {
 
 func TestRunExactSolverNoWorseForConsumer(t *testing.T) {
 	cfg, _ := testConfig(t, 10, 4, 300, 4, 17)
-	closed, err := Run(cfg, bandit.UCBGreedy{})
+	closed, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgE, _ := testConfig(t, 10, 4, 300, 4, 17)
 	cfgE.Solver = Exact
-	exact, err := Run(cfgE, bandit.UCBGreedy{})
+	exact, err := Run(cfgE, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func BenchmarkRunRound(b *testing.B) {
 		K: 10,
 	}
 	b.ResetTimer()
-	if _, err := Run(cfg, bandit.UCBGreedy{}); err != nil {
+	if _, err := Run(cfg, &bandit.UCBGreedy{}); err != nil {
 		b.Fatal(err)
 	}
 }

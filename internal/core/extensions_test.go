@@ -21,7 +21,7 @@ func TestRunWithDepartures(t *testing.T) {
 	dep[5] = 50 // seller 5 leaves at round 50
 	cfg.Market.Departures = dep
 	cfg.KeepRounds = true
-	res, err := Run(cfg, bandit.UCBGreedy{})
+	res, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDeparturesWithFlakyDeliveries(t *testing.T) {
 	cfg.Market.DeliverySeed = 77
 	cfg.KeepRounds = true
 
-	mech, err := NewMechanism(cfg, bandit.UCBGreedy{})
+	mech, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunDeparturesShrinkSelection(t *testing.T) {
 	dep := []int{20, 20, 0, 0} // two sellers leave at round 20
 	cfg.Market.Departures = dep
 	cfg.KeepRounds = true
-	res, err := Run(cfg, bandit.UCBGreedy{})
+	res, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRunDeparturesShrinkSelection(t *testing.T) {
 	// Everyone leaves: run halts.
 	cfg2, _ := testConfig(t, 4, 3, 60, 3, 33)
 	cfg2.Market.Departures = []int{20, 20, 20, 20}
-	res2, err := Run(cfg2, bandit.UCBGreedy{})
+	res2, err := Run(cfg2, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRunDeparturesShrinkSelection(t *testing.T) {
 	// Everyone gone before round 1: error.
 	cfg3, _ := testConfig(t, 2, 1, 10, 3, 33)
 	cfg3.Market.Departures = []int{1, 1}
-	if _, err := Run(cfg3, bandit.UCBGreedy{}); err == nil {
+	if _, err := Run(cfg3, &bandit.UCBGreedy{}); err == nil {
 		t.Fatal("expected error when all sellers depart before round 1")
 	}
 }
@@ -168,7 +168,7 @@ func TestRunDeparturesShrinkSelection(t *testing.T) {
 // reaches the budget.
 func TestRunBudget(t *testing.T) {
 	cfg, _ := testConfig(t, 8, 3, 10_000, 3, 35)
-	free, err := Run(cfg, bandit.UCBGreedy{})
+	free, err := Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRunBudget(t *testing.T) {
 	}
 	cfg2, _ := testConfig(t, 8, 3, 10_000, 3, 35)
 	cfg2.Budget = free.ConsumerSpend / 10
-	capped, err := Run(cfg2, bandit.UCBGreedy{})
+	capped, err := Run(cfg2, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestRunDataLayer(t *testing.T) {
 		}
 		return cfg
 	}
-	ucb, err := Run(build(1), bandit.UCBGreedy{})
+	ucb, err := Run(build(1), &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRunDataLayer(t *testing.T) {
 	}
 	// Without the layer, RMSE is NaN.
 	plain, _ := testConfig(t, 5, 2, 20, 3, 37)
-	res, err := Run(plain, bandit.UCBGreedy{})
+	res, err := Run(plain, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRunDataLayer(t *testing.T) {
 func TestDeparturesValidation(t *testing.T) {
 	cfg, _ := testConfig(t, 5, 2, 10, 3, 39)
 	cfg.Market.Departures = []int{1, 2} // wrong length
-	if _, err := Run(cfg, bandit.UCBGreedy{}); err == nil {
+	if _, err := Run(cfg, &bandit.UCBGreedy{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -274,7 +274,7 @@ func TestRunNonStationary(t *testing.T) {
 		return cfg
 	}
 	policies := []bandit.Policy{
-		bandit.UCBGreedy{},
+		&bandit.UCBGreedy{},
 		bandit.NewSlidingWindowUCB(200),
 		bandit.NewDiscountedUCB(0.998),
 	}
@@ -297,7 +297,7 @@ func TestRunNonStationary(t *testing.T) {
 	}
 	// Stationary models report NaN.
 	plain, _ := testConfig(t, 5, 2, 20, 3, 41)
-	res, err := Run(plain, bandit.UCBGreedy{})
+	res, err := Run(plain, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestRunNonStationary(t *testing.T) {
 // rate.
 func TestRunDeliveryFailures(t *testing.T) {
 	full, _ := testConfig(t, 10, 3, 2000, 3, 43)
-	reliable, err := Run(full, bandit.UCBGreedy{})
+	reliable, err := Run(full, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestRunDeliveryFailures(t *testing.T) {
 	flaky.Market.DeliveryRate = 0.6
 	flaky.Market.DeliverySeed = 5
 	flaky.KeepRounds = true
-	res, err := Run(flaky, bandit.UCBGreedy{})
+	res, err := Run(flaky, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +356,11 @@ func TestRunDeliveryFailures(t *testing.T) {
 func TestDeliveryRateValidation(t *testing.T) {
 	cfg, _ := testConfig(t, 5, 2, 10, 3, 45)
 	cfg.Market.DeliveryRate = 1.5
-	if _, err := Run(cfg, bandit.UCBGreedy{}); err == nil {
+	if _, err := Run(cfg, &bandit.UCBGreedy{}); err == nil {
 		t.Fatal("rate > 1 should fail")
 	}
 	cfg.Market.DeliveryRate = -0.1
-	if _, err := Run(cfg, bandit.UCBGreedy{}); err == nil {
+	if _, err := Run(cfg, &bandit.UCBGreedy{}); err == nil {
 		t.Fatal("negative rate should fail")
 	}
 }
@@ -420,7 +420,7 @@ func TestRunRandomizedSoak(t *testing.T) {
 		cfg.ColdStart = src.Intn(4) == 0
 
 		policies := []bandit.Policy{
-			bandit.UCBGreedy{},
+			&bandit.UCBGreedy{},
 			bandit.NewOracle(means),
 			bandit.NewRandom(src.Split(int64(trial * 7))),
 			bandit.NewThompson(src.Split(int64(trial * 11))),

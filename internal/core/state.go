@@ -307,9 +307,6 @@ func Resume(cfg *Config, policy bandit.Policy, st *State) (*Mechanism, error) {
 	if err := m.arms.Restore(st.Arms); err != nil {
 		return nil, err
 	}
-	if m.sync != nil {
-		m.sync.InvalidateSelection() // bulk estimator rewrite
-	}
 	if err := m.tracker.Restore(st.Tracker); err != nil {
 		return nil, err
 	}

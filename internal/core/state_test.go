@@ -60,7 +60,7 @@ func TestSnapshotRoundTripDeterminism(t *testing.T) {
 		name string
 		make func() bandit.Policy
 	}{
-		{"UCBGreedy", func() bandit.Policy { return bandit.UCBGreedy{} }},
+		{"UCBGreedy", func() bandit.Policy { return &bandit.UCBGreedy{} }},
 		{"SlidingWindowUCB", func() bandit.Policy { return bandit.NewSlidingWindowUCB(7) }},
 		{"Thompson", func() bandit.Policy { return bandit.NewThompson(rng.New(99)) }},
 	}
@@ -167,7 +167,7 @@ func TestSnapshotRoundTripDeterminism(t *testing.T) {
 // not disturb the exported state.
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	cfg, _ := testConfig(t, 6, 2, 20, 3, 11)
-	m, err := NewMechanism(cfg, bandit.UCBGreedy{})
+	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 // silent corruption.
 func TestResumeMismatches(t *testing.T) {
 	cfg, _ := testConfig(t, 6, 2, 20, 3, 11)
-	m, err := NewMechanism(cfg, bandit.UCBGreedy{})
+	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +217,17 @@ func TestResumeMismatches(t *testing.T) {
 		t.Error("policy mismatch not detected")
 	}
 	small, _ := testConfig(t, 4, 2, 20, 3, 11)
-	if _, err := Resume(small, bandit.UCBGreedy{}, st); err == nil {
+	if _, err := Resume(small, &bandit.UCBGreedy{}, st); err == nil {
 		t.Error("population mismatch not detected")
 	}
 	short, _ := testConfig(t, 6, 2, 3, 3, 11)
-	if _, err := Resume(short, bandit.UCBGreedy{}, st); err == nil {
+	if _, err := Resume(short, &bandit.UCBGreedy{}, st); err == nil {
 		t.Error("horizon mismatch not detected")
 	}
-	if _, err := Resume(fresh(), bandit.UCBGreedy{}, nil); err == nil {
+	if _, err := Resume(fresh(), &bandit.UCBGreedy{}, nil); err == nil {
 		t.Error("nil state not detected")
 	}
-	if ok, err := Resume(fresh(), bandit.UCBGreedy{}, st); err != nil {
+	if ok, err := Resume(fresh(), &bandit.UCBGreedy{}, st); err != nil {
 		t.Errorf("matching resume failed: %v", err)
 	} else if ok.Round() != m.Round() {
 		t.Errorf("resumed at %d, want %d", ok.Round(), m.Round())
@@ -238,7 +238,7 @@ func TestResumeMismatches(t *testing.T) {
 // violations must all error.
 func TestDecodeStateStrict(t *testing.T) {
 	cfg, _ := testConfig(t, 5, 2, 15, 3, 3)
-	m, err := NewMechanism(cfg, bandit.UCBGreedy{})
+	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func sameJSON(t *testing.T, a, b any) bool {
 // before any round has been played (regression: CumPoC/0 == NaN).
 func TestResultAvgGuards(t *testing.T) {
 	cfg, _ := testConfig(t, 5, 2, 10, 3, 1)
-	m, err := NewMechanism(cfg, bandit.UCBGreedy{})
+	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func FuzzDecodeState(f *testing.F) {
 		c, _ := buildTestConfig(5, 2, 15, 3, 3)
 		return c
 	}
-	m, err := NewMechanism(cfg(), bandit.UCBGreedy{})
+	m, err := NewMechanism(cfg(), &bandit.UCBGreedy{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func FuzzDecodeState(f *testing.F) {
 			t.Fatalf("DecodeState returned invalid state: %v", verr)
 		}
 		// ...and resuming must never panic; errors are fine.
-		mm, err := Resume(cfg(), bandit.UCBGreedy{}, st)
+		mm, err := Resume(cfg(), &bandit.UCBGreedy{}, st)
 		if err != nil {
 			return
 		}

@@ -31,7 +31,7 @@ func AblationUCB(ctx context.Context, s Settings) ([]Figure, error) {
 		case 0:
 			return bandit.NewOracle(inst.Means)
 		case 1:
-			return bandit.UCBGreedy{}
+			return &bandit.UCBGreedy{}
 		case 2:
 			return bandit.UCB1Greedy{}
 		case 3:
@@ -117,7 +117,7 @@ func AblationExplore(ctx context.Context, s Settings) ([]Figure, error) {
 		src := rng.New(s.Seed).Split(int64(xi*31337 + rep))
 		inst := s.NewInstance(src, s.M, s.K, horizon)
 		inst.Config.ColdStart = cold
-		res, err := runMech(ctx, inst.Config, bandit.UCBGreedy{})
+		res, err := runMech(ctx, inst.Config, &bandit.UCBGreedy{})
 		if err != nil {
 			return err
 		}

@@ -70,7 +70,7 @@ func ExtNonStationary(ctx context.Context, s Settings) ([]Figure, error) {
 		var policy bandit.Policy
 		switch pol {
 		case 0:
-			policy = bandit.UCBGreedy{}
+			policy = &bandit.UCBGreedy{}
 		case 1:
 			w := switchEvery / 2
 			if w < 10 {

@@ -45,7 +45,7 @@ func Fig4To6(ctx context.Context, s Settings) ([]Figure, error) {
 		K:          2,
 		KeepRounds: true,
 	}
-	res, err := runMech(ctx, cfg, bandit.UCBGreedy{})
+	res, err := runMech(ctx, cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		return nil, err
 	}

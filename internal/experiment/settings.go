@@ -155,7 +155,7 @@ var PolicyNames = []string{"optimal", "CMAB-HS", "0.1-first", "0.5-first", "rand
 func Policies(inst *Instance, horizon int, src *rng.Source) []bandit.Policy {
 	return []bandit.Policy{
 		bandit.NewOracle(inst.Means),
-		bandit.UCBGreedy{},
+		&bandit.UCBGreedy{},
 		bandit.NewEpsilonFirst(0.1, horizon, src.Split(0xe1)),
 		bandit.NewEpsilonFirst(0.5, horizon, src.Split(0xe5)),
 		bandit.NewRandom(src.Split(0xaa)),

@@ -51,7 +51,7 @@ func runWithJournal(t *testing.T) (*bytes.Buffer, *core.Result) {
 			}
 		},
 	}
-	res, err := core.Run(cfg, bandit.UCBGreedy{})
+	res, err := core.Run(cfg, &bandit.UCBGreedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
