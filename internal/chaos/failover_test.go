@@ -49,7 +49,7 @@ func bootNode(t *testing.T, dir, nodeID string, clk *failoverClock) (*server.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.SetNow(clk.Now)
+	ws.Now = clk.Now
 	s := server.New()
 	s.Store = ws
 	s.CompactEvery = 16
@@ -60,7 +60,6 @@ func bootNode(t *testing.T, dir, nodeID string, clk *failoverClock) (*server.Ser
 			{ID: "b", URL: "http://node-b.invalid"},
 		},
 		LeaseTTL: failoverTTL,
-		Now:      clk.Now,
 	}
 	if err := s.ValidateCluster(); err != nil {
 		t.Fatal(err)

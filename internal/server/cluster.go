@@ -10,9 +10,9 @@ import (
 )
 
 // Multi-node operation. A Cluster names this node, the static peer
-// list sharing the state directory, and the lease cadence. With it
-// set (and a LeaseStore-capable Store), the broker becomes one node of
-// a horizontally scaled service:
+// list sharing the state directory, and the lease TTL. With it set
+// (and a FileStore or WALStore as the Store), the broker becomes one
+// node of a horizontally scaled service:
 //
 //   - every job it serves is backed by a lease it holds and renews;
 //   - requests for jobs another node owns are transparently proxied
@@ -29,32 +29,24 @@ import (
 // With Cluster nil the broker is byte-for-byte the single-node service
 // it always was: no leases, no fencing, no proxying, unchanged ids and
 // wire formats.
+//
+// There is one clock: every ownership decision (expiry, successor
+// choice, the lease block's expires_in_s, a 503's Retry-After) reads
+// the store's FileStore.Now, the same clock the lease records are
+// written with, so the two can never disagree.
 type Cluster struct {
 	// NodeID is this node's name in the peer list (same charset as a
 	// job id).
 	NodeID string
 	// Peers is the full static topology, including this node.
 	Peers []Peer
-	// LeaseTTL is how long an unrenewed lease lives (default 10s).
-	// Failover latency after a crash is LeaseTTL plus a grace of
-	// leaseGrace for clock skew.
+	// LeaseTTL is how long an unrenewed lease lives (default 10s); the
+	// lease loop renews every LeaseTTL/3. Failover latency after a
+	// crash is LeaseTTL plus a grace of leaseGrace for clock skew.
 	LeaseTTL time.Duration
-	// RenewEvery is the renewal-loop cadence (default LeaseTTL/3).
-	RenewEvery time.Duration
 	// Client issues proxied requests; nil uses a default client whose
 	// per-request lifetime is the inbound request's context.
 	Client *http.Client
-	// Now replaces wall time in ownership decisions (tests drive
-	// failover clocks through it); nil means time.Now. Set the same
-	// clock on the FileStore/WALStore so both layers agree.
-	Now func() time.Time
-}
-
-func (c *Cluster) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
-	}
-	return time.Now()
 }
 
 func (c *Cluster) ttl() time.Duration {
@@ -62,13 +54,6 @@ func (c *Cluster) ttl() time.Duration {
 		return c.LeaseTTL
 	}
 	return 10 * time.Second
-}
-
-func (c *Cluster) renewEvery() time.Duration {
-	if c.RenewEvery > 0 {
-		return c.RenewEvery
-	}
-	return c.ttl() / 3
 }
 
 // peer returns the peer record for a node id.
@@ -84,10 +69,15 @@ func (c *Cluster) peer(id string) (Peer, bool) {
 // clustered reports whether this broker runs in multi-node mode.
 func (s *Server) clustered() bool { return s.Cluster != nil }
 
-// leaseStore returns the Store's lease extension, or nil.
-func (s *Server) leaseStore() LeaseStore {
-	if ls, ok := s.Store.(LeaseStore); ok {
-		return ls
+// leaseStore returns the FileStore that holds the leases (the Store
+// itself, or the one a WALStore embeds), or nil when the Store cannot
+// hold leases.
+func (s *Server) leaseStore() *FileStore {
+	switch st := s.Store.(type) {
+	case *FileStore:
+		return st
+	case *WALStore:
+		return st.FileStore
 	}
 	return nil
 }
@@ -213,19 +203,19 @@ func (s *Server) claimable(id string, l *Lease) bool {
 	if l != nil && l.Owner == c.NodeID {
 		return true
 	}
-	expired := l != nil && l.Expired(c.now(), leaseGrace)
+	expired := l != nil && l.Expired(s.leaseStore().now(), leaseGrace)
 	return claimantOf(c.Peers, id, l, expired).ID == c.NodeID &&
 		(l == nil || expired)
 }
 
 // RenewOwnedLeases renews the lease of every job this node serves and
 // evicts any whose lease was stolen. It returns the number of renewal
-// failures; the lease loop calls it every RenewEvery.
+// failures; the lease loop calls it every LeaseTTL/3.
 func (s *Server) RenewOwnedLeases() int {
-	if !s.clustered() || s.leaseStore() == nil {
+	ls := s.leaseStore()
+	if !s.clustered() || ls == nil {
 		return 0
 	}
-	ls := s.leaseStore()
 	failures := 0
 	for _, j := range s.registry().snapshot() {
 		l := j.leaseFor()
@@ -258,10 +248,10 @@ func (s *Server) RenewOwnedLeases() int {
 // number adopted; the lease loop calls it so failover happens even
 // when no request for the orphan arrives.
 func (s *Server) AdoptOrphans(ctx context.Context) int {
-	if !s.clustered() || s.leaseStore() == nil {
+	ls := s.leaseStore()
+	if !s.clustered() || ls == nil {
 		return 0
 	}
-	ls := s.leaseStore()
 	ids, err := ls.List()
 	if err != nil {
 		s.logger().Error("orphan scan", "error", err)
@@ -291,10 +281,10 @@ func (s *Server) AdoptOrphans(ctx context.Context) int {
 // graceful-shutdown handoff that lets peers adopt the jobs immediately
 // instead of waiting out the TTL. Call it AFTER SaveAll.
 func (s *Server) ReleaseOwnedLeases() {
-	if !s.clustered() || s.leaseStore() == nil {
+	ls := s.leaseStore()
+	if !s.clustered() || ls == nil {
 		return
 	}
-	ls := s.leaseStore()
 	for _, j := range s.registry().snapshot() {
 		l := j.leaseFor()
 		if l == nil {
@@ -318,7 +308,7 @@ func (s *Server) RunLeaseLoop(ctx context.Context) {
 	if !s.clustered() {
 		return
 	}
-	t := time.NewTicker(s.Cluster.renewEvery())
+	t := time.NewTicker(s.Cluster.ttl() / 3)
 	defer t.Stop()
 	for {
 		select {

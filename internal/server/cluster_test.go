@@ -18,8 +18,8 @@ const clusterTTL = 30 * time.Second
 
 // testNode is one in-process broker of a test cluster: a Server over
 // its own WALStore handle, all handles sharing one state directory
-// and one fake clock, fronted by a real HTTP listener so proxied
-// requests travel the wire.
+// and one fake store clock (the only clock a node reads), fronted by
+// a real HTTP listener so proxied requests travel the wire.
 type testNode struct {
 	s  *Server
 	ws *WALStore
@@ -44,11 +44,11 @@ func newTestCluster(t *testing.T, dir string, clk *fakeClock, ids ...string) map
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws.SetNow(clk.Now)
+		ws.Now = clk.Now
 		s := New()
 		s.Store = ws
 		s.CompactEvery = 16
-		s.Cluster = &Cluster{NodeID: id, LeaseTTL: clusterTTL, Now: clk.Now}
+		s.Cluster = &Cluster{NodeID: id, LeaseTTL: clusterTTL}
 		n := &testNode{s: s, ws: ws}
 		n.ts = httptest.NewServer(s.Handler())
 		peers = append(peers, Peer{ID: id, URL: n.ts.URL})
@@ -201,6 +201,37 @@ func TestClusterForwardLoopAnswers503WithRetryHint(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("no Retry-After header on the 503")
+	}
+}
+
+// TestClusterReadsTheStoreClock pins the one-clock contract: a node
+// judges ownership by its store's Now and nothing else. Only the store
+// clock is set (to a fake instant far from wall time); advancing it
+// moves the lease block's expires_in_s and a 503's retry hint exactly.
+func TestClusterReadsTheStoreClock(t *testing.T) {
+	clk := newFakeClock()
+	nodes := newTestCluster(t, t.TempDir(), clk, "a", "b")
+	var created JobStatus
+	httpJSON(t, http.MethodPost, nodes["a"].ts.URL+"/v1/jobs", clusterJob, nil, &created)
+	clk.Advance(10 * time.Second)
+
+	var st JobStatus
+	httpJSON(t, http.MethodGet, nodes["a"].ts.URL+"/v1/jobs/"+created.ID, "", nil, &st)
+	if want := (clusterTTL - 10*time.Second).Seconds(); st.Lease == nil || st.Lease.ExpiresInSeconds != want {
+		t.Fatalf("lease block %+v, want expires_in_s %v on the store clock", st.Lease, want)
+	}
+
+	var er ErrorResponse
+	resp := httpJSON(t, http.MethodGet, nodes["b"].ts.URL+"/v1/jobs/"+created.ID, "",
+		map[string]string{"X-CDT-Forwarded-By": "a"}, &er)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("second hop: %d", resp.StatusCode)
+	}
+	// Stealable at expiry + grace: 20.5 s after the advanced clock.
+	want := clusterTTL - 10*time.Second + leaseGrace
+	if er.Error.RetryAfterS != want.Seconds() || resp.Header.Get("Retry-After") != "20" {
+		t.Fatalf("retry hint %v s / Retry-After %q, want %v s / 20",
+			er.Error.RetryAfterS, resp.Header.Get("Retry-After"), want.Seconds())
 	}
 }
 

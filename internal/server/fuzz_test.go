@@ -1,0 +1,86 @@
+package server
+
+import (
+	"errors"
+	"os"
+	"testing"
+	"time"
+)
+
+// FuzzLoadLease feeds arbitrary bytes to the lease-record reader that
+// every ownership decision trusts. It must never panic or error on a
+// readable file; it either rejects the record as corrupt (counted, and
+// a fresh acquire then starts at epoch 1) or returns a record that is
+// valid for the job, survives the store's own writer bit for bit, and
+// is honoured by the next acquire: renewed in place by its owner, held
+// against others until it expires, and stolen only at a higher epoch.
+func FuzzLoadLease(f *testing.F) {
+	for _, seed := range []string{
+		`{"job":"job-1","owner":"a","epoch":1,"expiry_unix_nano":1700000010000000000}`,
+		`{"job":"job-1","owner":"fz","epoch":7,"expiry_unix_nano":1700000010000000000}`,
+		`{"job":"job-1","owner":"a","epoch":4,"expiry_unix_nano":1}`,
+		`{"job":"job-1","owner":"a","epoch":-5,"expiry_unix_nano":0}`,
+		`{"job":"job-1","owner":"a","epoch":9223372036854775807,"expiry_unix_nano":1}`,
+		`{"job":"job-2","owner":"a","epoch":3}`,
+		`{"job":"job-1","owner":"bad id","epoch":2}`,
+		`{"job":"job-1","owner":"a","epoch":1.5}`,
+		`{torn`, ``, `null`, `[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	fs, err := NewFileStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	clk := newFakeClock()
+	fs.Now = clk.Now
+	const id, me = "job-1", "fz"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(fs.leasePath(id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := fs.LeaseStats().Corrupt
+		l, err := fs.LoadLease(id)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		corrupt := fs.LeaseStats().Corrupt - before
+		if l == nil {
+			if corrupt != 1 {
+				t.Fatalf("rejected record counted %d times, want 1", corrupt)
+			}
+			if got, err := fs.AcquireLease(id, me, time.Second); err != nil || got.Epoch != 1 {
+				t.Fatalf("acquire over a rejected record: %+v err=%v", got, err)
+			}
+			return
+		}
+		if corrupt != 0 {
+			t.Fatalf("accepted record %+v counted as corrupt", *l)
+		}
+		if l.Job != id || checkID(l.Owner) != nil || l.Epoch < 1 {
+			t.Fatalf("accepted an invalid record: %+v", *l)
+		}
+		if err := fs.writeLeaseLocked(id, *l); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := fs.LoadLease(id); err != nil || again == nil || *again != *l {
+			t.Fatalf("record %+v re-read as %+v (err %v)", *l, again, err)
+		}
+		got, err := fs.AcquireLease(id, me, time.Second)
+		expired := l.Expired(clk.Now(), leaseGrace)
+		switch {
+		case errors.Is(err, ErrLeaseHeld):
+			if l.Owner == me || expired {
+				t.Fatalf("acquire refused over %+v: %v", *l, err)
+			}
+		case err != nil:
+			t.Fatalf("acquire over %+v: %v", *l, err)
+		case l.Owner == me:
+			if got.Epoch != l.Epoch {
+				t.Fatalf("owner's re-acquire moved the epoch: %+v -> %+v", *l, got)
+			}
+		case !expired || got.Epoch <= l.Epoch:
+			t.Fatalf("acquire over %+v granted %+v", *l, got)
+		}
+	})
+}

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,10 +30,11 @@ import (
 // All lease mutations for one job serialize through an O_EXCL lock
 // file (`<id>.lease.lock`), and the record itself is replaced with a
 // temp-file + rename, so concurrent brokers racing Acquire/Renew/Steal
-// observe each other's writes atomically — the same crash-safety idiom
-// FileStore.Save uses for snapshots. FencedSave runs the snapshot
-// rename INSIDE that lock, making snapshot fencing atomic with respect
-// to a concurrent steal, not merely check-then-write.
+// observe each other's writes atomically — the same durable-replace
+// path (FileStore.replace) snapshots and WAL resets use. Every fenced
+// write (FencedSave, ResetWALFenced) runs its rename INSIDE that lock
+// through one check (FileStore.fenced), making fencing atomic with
+// respect to a concurrent steal, not merely check-then-write.
 
 // Lease is one job's ownership record.
 type Lease struct {
@@ -71,55 +72,7 @@ var (
 	ErrLeaseLockBusy = errors.New("server: lease lock contended")
 )
 
-// LeaseStore is the optional Store extension for multi-node job
-// ownership, layered exactly like RoundWAL: FileStore (and therefore
-// WALStore) implements it, single-node deployments never touch it.
-type LeaseStore interface {
-	Store
-
-	// AcquireLease acquires or renews id's lease for owner with the
-	// given ttl: granted fresh at epoch 1, extended in place when owner
-	// already holds it, stolen at epoch+1 when the current lease is
-	// expired (past its grace). An unexpired foreign lease returns
-	// ErrLeaseHeld.
-	AcquireLease(id, owner string, ttl time.Duration) (Lease, error)
-
-	// RenewLease extends the expiry of a lease owner holds at exactly
-	// the given epoch. Any mismatch — stolen, released, missing —
-	// returns ErrLeaseLost.
-	RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error)
-
-	// ReleaseLease removes id's lease if owner holds it at epoch
-	// (graceful shutdown / handoff). A mismatched or missing lease
-	// returns ErrLeaseLost; the job itself is untouched either way.
-	ReleaseLease(id, owner string, epoch int64) error
-
-	// LoadLease returns id's current lease, or nil when none exists. A
-	// corrupt record (a crashed writer's leftovers) is treated as
-	// absent and counted in LeaseStats.Corrupt rather than bricking
-	// the job.
-	LoadLease(id string) (*Lease, error)
-
-	// CheckLease is the fencing read: nil iff id's lease is held by
-	// exactly (owner, epoch); ErrLeaseLost otherwise.
-	CheckLease(id, owner string, epoch int64) error
-
-	// FencedSave writes a snapshot only while (owner, epoch) still
-	// holds id's lease, atomically with respect to concurrent lease
-	// mutations — a zombie owner's snapshot can never clobber its
-	// successor's.
-	FencedSave(id string, data []byte, owner string, epoch int64) error
-
-	// SweepLeases garbage-collects lease debris: expired leases whose
-	// job snapshot no longer exists, and stale lock files left by
-	// crashed writers. It returns the number of files removed.
-	SweepLeases() (int, error)
-
-	// LeaseStats reports the protocol counters for healthz/metrics.
-	LeaseStats() LeaseStats
-}
-
-// LeaseStats is the point-in-time view of a LeaseStore's activity.
+// LeaseStats is the point-in-time view of a FileStore's lease activity.
 type LeaseStats struct {
 	// Acquired counts fresh grants and renewals-via-acquire.
 	Acquired uint64 `json:"acquired"`
@@ -128,7 +81,8 @@ type LeaseStats struct {
 	// Fenced counts writes rejected because the writer's claim was
 	// stale — each one is a zombie owner stopped from corrupting state.
 	Fenced uint64 `json:"fenced"`
-	// Corrupt counts unreadable lease records tolerated as absent.
+	// Corrupt counts unreadable or invalid lease records tolerated as
+	// absent.
 	Corrupt uint64 `json:"corrupt"`
 	// Swept counts lease/lock files garbage-collected by SweepLeases.
 	Swept uint64 `json:"swept"`
@@ -199,9 +153,12 @@ func (f *FileStore) withLeaseLock(id string, fn func() error) error {
 }
 
 // loadLeaseLocked reads id's lease record. Caller holds the lease
-// lock (or accepts a point-in-time read). Corrupt records are treated
-// as absent: they are a crashed writer's debris, and treating them as
-// fatal would strand the job forever.
+// lock (or accepts a point-in-time read). A corrupt record — one that
+// does not decode, or whose job is not id, whose owner is not a valid
+// node id, or whose epoch is outside [1, MaxInt64) (a steal from the
+// last epoch would wrap) — is treated as absent and counted: it is a
+// crashed writer's debris, and treating it as fatal would strand the
+// job forever.
 func (f *FileStore) loadLeaseLocked(id string) (*Lease, error) {
 	data, err := os.ReadFile(f.leasePath(id))
 	if errors.Is(err, os.ErrNotExist) {
@@ -211,7 +168,8 @@ func (f *FileStore) loadLeaseLocked(id string) (*Lease, error) {
 		return nil, fmt.Errorf("server: lease load %s: %w", id, err)
 	}
 	var l Lease
-	if jerr := json.Unmarshal(data, &l); jerr != nil || l.Owner == "" {
+	if err := json.Unmarshal(data, &l); err != nil ||
+		l.Job != id || checkID(l.Owner) != nil || l.Epoch < 1 || l.Epoch == math.MaxInt64 {
 		f.leaseCorrupt.Add(1)
 		return nil, nil
 	}
@@ -225,28 +183,49 @@ func (f *FileStore) writeLeaseLocked(id string, l Lease) error {
 	if err != nil {
 		return fmt.Errorf("server: lease save %s: %w", id, err)
 	}
-	tmp, err := os.CreateTemp(f.dir, "."+id+"-lease-*.tmp")
-	if err != nil {
-		return fmt.Errorf("server: lease save %s: %w", id, err)
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if err := errors.Join(werr, serr, cerr); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: lease save %s: %w", id, err)
-	}
-	if err := os.Rename(tmp.Name(), f.leasePath(id)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: lease save %s: %w", id, err)
-	}
-	if err := syncDir(f.dir); err != nil {
-		return fmt.Errorf("server: lease save %s: %w", id, err)
-	}
-	return nil
+	_, err = f.replace("lease save", id, ".json"+leaseSuffix, data, false)
+	return err
 }
 
-// AcquireLease implements LeaseStore.
+// checkClaim returns nil iff cur is exactly (owner, epoch)'s lease on
+// id, ErrLeaseLost otherwise.
+func checkClaim(id, owner string, epoch int64, cur *Lease) error {
+	if cur != nil && cur.Owner == owner && cur.Epoch == epoch {
+		return nil
+	}
+	if cur == nil {
+		return fmt.Errorf("%w: %s claims %s@%d but no lease exists", ErrLeaseLost, owner, id, epoch)
+	}
+	return fmt.Errorf("%w: %s claims %s@%d but %s holds epoch %d",
+		ErrLeaseLost, owner, id, epoch, cur.Owner, cur.Epoch)
+}
+
+// fenced is the write fence every fenced store write goes through: it
+// runs write under id's lease lock only while (owner, epoch) still
+// holds the lease, so the write is atomic with respect to a concurrent
+// steal. A stale claim is counted in LeaseStats.Fenced and returns
+// ErrLeaseLost without writing.
+func (f *FileStore) fenced(id, owner string, epoch int64, write func() error) error {
+	if err := checkID(id); err != nil {
+		return err
+	}
+	return f.withLeaseLock(id, func() error {
+		cur, err := f.loadLeaseLocked(id)
+		if err != nil {
+			return err
+		}
+		if err := checkClaim(id, owner, epoch, cur); err != nil {
+			f.leaseFenced.Add(1)
+			return err
+		}
+		return write()
+	})
+}
+
+// AcquireLease acquires or renews id's lease for owner with the given
+// ttl: granted fresh at epoch 1, extended in place when owner already
+// holds it, stolen at epoch+1 when the current lease is expired (past
+// its grace). An unexpired foreign lease returns ErrLeaseHeld.
 func (f *FileStore) AcquireLease(id, owner string, ttl time.Duration) (Lease, error) {
 	if err := checkID(id); err != nil {
 		return Lease{}, err
@@ -283,9 +262,10 @@ func (f *FileStore) AcquireLease(id, owner string, ttl time.Duration) (Lease, er
 	return out, err
 }
 
-// RenewLease implements LeaseStore. Unlike AcquireLease it demands an
-// exact (owner, epoch) match: a zombie that lost its lease must learn
-// so, not silently re-acquire at a new epoch.
+// RenewLease extends the expiry of a lease owner holds at exactly the
+// given epoch. Any mismatch — stolen, released, missing — returns
+// ErrLeaseLost: unlike AcquireLease, a zombie that lost its lease must
+// learn so, not silently re-acquire at a new epoch.
 func (f *FileStore) RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error) {
 	if err := checkID(id); err != nil {
 		return Lease{}, err
@@ -296,8 +276,8 @@ func (f *FileStore) RenewLease(id, owner string, epoch int64, ttl time.Duration)
 		if err != nil {
 			return err
 		}
-		if cur == nil || cur.Owner != owner || cur.Epoch != epoch {
-			return leaseLostErr(id, owner, epoch, cur)
+		if err := checkClaim(id, owner, epoch, cur); err != nil {
+			return err
 		}
 		next := *cur
 		next.ExpiryUnixNano = f.now().Add(ttl).UnixNano()
@@ -310,7 +290,9 @@ func (f *FileStore) RenewLease(id, owner string, epoch int64, ttl time.Duration)
 	return out, err
 }
 
-// ReleaseLease implements LeaseStore.
+// ReleaseLease removes id's lease if owner holds it at epoch
+// (graceful shutdown / handoff). A mismatched or missing lease returns
+// ErrLeaseLost; the job itself is untouched either way.
 func (f *FileStore) ReleaseLease(id, owner string, epoch int64) error {
 	if err := checkID(id); err != nil {
 		return err
@@ -320,8 +302,8 @@ func (f *FileStore) ReleaseLease(id, owner string, epoch int64) error {
 		if err != nil {
 			return err
 		}
-		if cur == nil || cur.Owner != owner || cur.Epoch != epoch {
-			return leaseLostErr(id, owner, epoch, cur)
+		if err := checkClaim(id, owner, epoch, cur); err != nil {
+			return err
 		}
 		if err := os.Remove(f.leasePath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("server: lease release %s: %w", id, err)
@@ -330,8 +312,10 @@ func (f *FileStore) ReleaseLease(id, owner string, epoch int64) error {
 	})
 }
 
-// LoadLease implements LeaseStore. It reads without the lock — a
-// point-in-time view is all routing decisions need.
+// LoadLease returns id's current lease, or nil when none exists. A
+// corrupt record is treated as absent and counted in
+// LeaseStats.Corrupt rather than bricking the job. It reads without
+// the lock — a point-in-time view is all routing decisions need.
 func (f *FileStore) LoadLease(id string) (*Lease, error) {
 	if err := checkID(id); err != nil {
 		return nil, err
@@ -339,51 +323,34 @@ func (f *FileStore) LoadLease(id string) (*Lease, error) {
 	return f.loadLeaseLocked(id)
 }
 
-// CheckLease implements LeaseStore.
+// CheckLease is the read fence: nil iff id's lease is held by exactly
+// (owner, epoch); ErrLeaseLost (counted in LeaseStats.Fenced)
+// otherwise.
 func (f *FileStore) CheckLease(id, owner string, epoch int64) error {
 	cur, err := f.LoadLease(id)
 	if err != nil {
 		return err
 	}
-	if cur == nil || cur.Owner != owner || cur.Epoch != epoch {
+	if err := checkClaim(id, owner, epoch, cur); err != nil {
 		f.leaseFenced.Add(1)
-		return leaseLostErr(id, owner, epoch, cur)
+		return err
 	}
 	return nil
 }
 
-// FencedSave implements LeaseStore: the fencing check and the snapshot
-// rename happen under the same lease lock a steal must take, so the
-// outcome is always one of {old snapshot + old lease, old snapshot +
-// new lease, new snapshot + old lease} — never a stale owner's bytes
-// landing after a successor's.
+// FencedSave writes a snapshot only while (owner, epoch) still holds
+// id's lease: the fencing check and the snapshot rename happen under
+// the same lease lock a steal must take, so the outcome is always one
+// of {old snapshot + old lease, old snapshot + new lease, new snapshot
+// + old lease} — never a stale owner's bytes landing after a
+// successor's.
 func (f *FileStore) FencedSave(id string, data []byte, owner string, epoch int64) error {
-	if err := checkID(id); err != nil {
-		return err
-	}
-	return f.withLeaseLock(id, func() error {
-		cur, err := f.loadLeaseLocked(id)
-		if err != nil {
-			return err
-		}
-		if cur == nil || cur.Owner != owner || cur.Epoch != epoch {
-			f.leaseFenced.Add(1)
-			return leaseLostErr(id, owner, epoch, cur)
-		}
-		return f.Save(id, data)
-	})
+	return f.fenced(id, owner, epoch, func() error { return f.Save(id, data) })
 }
 
-// leaseLostErr builds the ErrLeaseLost detail line.
-func leaseLostErr(id, owner string, epoch int64, cur *Lease) error {
-	if cur == nil {
-		return fmt.Errorf("%w: %s claims %s@%d but no lease exists", ErrLeaseLost, owner, id, epoch)
-	}
-	return fmt.Errorf("%w: %s claims %s@%d but %s holds epoch %d",
-		ErrLeaseLost, owner, id, epoch, cur.Owner, cur.Epoch)
-}
-
-// SweepLeases implements LeaseStore.
+// SweepLeases garbage-collects lease debris: expired leases whose job
+// snapshot no longer exists, and stale lock files left by crashed
+// writers. It returns the number of files removed.
 func (f *FileStore) SweepLeases() (int, error) {
 	entries, err := os.ReadDir(f.dir)
 	if err != nil {
@@ -438,7 +405,7 @@ func (f *FileStore) SweepLeases() (int, error) {
 	return removed, nil
 }
 
-// LeaseStats implements LeaseStore.
+// LeaseStats reports the protocol counters for healthz and metrics.
 func (f *FileStore) LeaseStats() LeaseStats {
 	return LeaseStats{
 		Acquired: f.leaseAcquired.Load(),
@@ -447,16 +414,4 @@ func (f *FileStore) LeaseStats() LeaseStats {
 		Corrupt:  f.leaseCorrupt.Load(),
 		Swept:    f.leaseSwept.Load(),
 	}
-}
-
-var _ LeaseStore = (*FileStore)(nil)
-
-// leaseCounters live on FileStore (see store.go) but are declared here
-// with the rest of the protocol for locality.
-type leaseCounters struct {
-	leaseAcquired atomic.Uint64
-	leaseStolen   atomic.Uint64
-	leaseFenced   atomic.Uint64
-	leaseCorrupt  atomic.Uint64
-	leaseSwept    atomic.Uint64
 }

@@ -242,6 +242,39 @@ func TestLeaseCorruptRecordToleratedAsAbsent(t *testing.T) {
 	}
 }
 
+// TestLeaseInvalidRecordsAreCorrupt: a record that decodes but could
+// not have been written for this job — another job's, an owner no node
+// can be named, an epoch outside [1, MaxInt64) — is debris like a torn
+// one. It is never honoured (a steal from epoch -5 must not land at
+// -4): it reads as absent, is counted, and a fresh acquire starts the
+// first generation.
+func TestLeaseInvalidRecordsAreCorrupt(t *testing.T) {
+	for name, rec := range map[string]string{
+		"foreign job":    `{"job":"job-2","owner":"a","epoch":3,"expiry_unix_nano":1}`,
+		"empty owner":    `{"job":"job-1","owner":"","epoch":3,"expiry_unix_nano":1}`,
+		"bad owner":      `{"job":"job-1","owner":"a b","epoch":3,"expiry_unix_nano":1}`,
+		"zero epoch":     `{"job":"job-1","owner":"a","epoch":0,"expiry_unix_nano":1}`,
+		"negative epoch": `{"job":"job-1","owner":"a","epoch":-5,"expiry_unix_nano":1}`,
+		"last epoch":     `{"job":"job-1","owner":"a","epoch":9223372036854775807,"expiry_unix_nano":1}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, _, _ := leasePair(t)
+			if err := os.WriteFile(a.leasePath("job-1"), []byte(rec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if l, err := a.LoadLease("job-1"); err != nil || l != nil {
+				t.Fatalf("invalid lease surfaced: %+v err=%v", l, err)
+			}
+			if got, err := a.AcquireLease("job-1", "b", time.Second); err != nil || got.Epoch != 1 {
+				t.Fatalf("acquire over invalid lease: %+v err=%v", got, err)
+			}
+			if st := a.LeaseStats(); st.Corrupt != 2 || st.Stolen != 0 {
+				t.Fatalf("stats %+v, want 2 corrupt reads (load, acquire) and no steal", st)
+			}
+		})
+	}
+}
+
 func TestLeaseStaleLockBroken(t *testing.T) {
 	a, _, _ := leasePair(t)
 	lock := a.lockPath("job-1")

@@ -201,7 +201,7 @@ var windowSpans = [2]struct {
 //	cdt_http_request_seconds_p99_{1m,5m}{route=...}
 //	cdt_http_requests_{1m,5m}{route=...}             requests inside the window
 //	cdt_http_shed_{1m,5m}                            sheds inside the window
-//	cdt_http_shed_rate_{1m,5m}                       sheds / (requests+sheds), 0 when idle
+//	cdt_http_shed_rate_{1m,5m}                       sheds / advance requests, 0 when idle
 //
 // These are gauges, not counters: a window's value falls as samples
 // age out. The cumulative families remain the source of truth for
@@ -211,13 +211,13 @@ func (m *serverMetrics) registerWindows(reg *metrics.Registry) {
 	for i, ws := range windowSpans {
 		m.winAll[i] = metrics.NewWindow(ws.span, ws.slots, metrics.DefLatencyBuckets)
 		m.winShed[i] = metrics.NewWindow(ws.span, ws.slots, nil)
-		shed, all := m.winShed[i], m.winAll[i]
+		shed := m.winShed[i]
 		reg.GaugeFunc("cdt_http_shed_"+ws.suffix,
 			"Advance requests shed inside the rolling window.",
 			func() float64 { return float64(shed.Count()) })
 		reg.GaugeFunc("cdt_http_shed_rate_"+ws.suffix,
 			"Fraction of advance traffic shed inside the rolling window.",
-			func() float64 { return shedRate(shed.Count(), all.Count()) })
+			func() float64 { return m.shedRate(i) })
 	}
 }
 
@@ -248,13 +248,18 @@ func registerRoute(reg *metrics.Registry, label string, clustered bool) *routeMe
 	return rm
 }
 
-// shedRate computes sheds/(served+sheds); shed requests never reach
-// the latency windows, so the denominator adds them back in.
-func shedRate(sheds, served uint64) float64 {
-	if sheds == 0 {
+// shedRate is the fraction of advance requests shed inside rolling
+// window i (0 = 1m, 1 = 5m). The request frame records every advance
+// in its route's windows, shed 429s included, so the advance route's
+// count is already the denominator. A scrape between a shed and its
+// frame's record can see one more shed than advances; the rate is
+// capped at 1.
+func (m *serverMetrics) shedRate(i int) float64 {
+	sheds, advances := m.winShed[i].Count(), m.routes[advancePath].win[i].Count()
+	if sheds == 0 || advances == 0 {
 		return 0
 	}
-	return float64(sheds) / float64(served+sheds)
+	return min(1, float64(sheds)/float64(advances))
 }
 
 // recordShed counts one shed advance into the cumulative counter and
@@ -275,7 +280,7 @@ func (m *serverMetrics) rollup() WindowRollup {
 			Requests: snap.Count,
 			P50S:     snap.Quantile(0.5),
 			P99S:     snap.Quantile(0.99),
-			ShedRate: shedRate(m.winShed[i].Count(), snap.Count),
+			ShedRate: m.shedRate(i),
 		}
 		if i == 0 {
 			r.Win1m = wr

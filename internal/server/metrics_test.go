@@ -129,6 +129,53 @@ func TestShedCounterAndEnvelope(t *testing.T) {
 	}
 }
 
+// TestShedRateCountsEachShedOnce pins the shed rate as sheds ÷ advance
+// requests: with every advance shed it reads exactly 1 on both the
+// scrape and the overview, however much other traffic (the create,
+// the status reads) shares the window, and one served advance in five
+// makes it 0.8.
+func TestShedRateCountsEachShedOnce(t *testing.T) {
+	s := New()
+	s.MaxConcurrentAdvances = 1
+	h := s.Handler()
+	st := createJob(t, h)
+	if err := s.pool().Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if code, _ := advance(t, h, nil, st.ID, 1); code != http.StatusTooManyRequests {
+			t.Fatalf("saturated advance %d: status %d, want 429", i, code)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil))
+	}
+	check := func(want float64) {
+		t.Helper()
+		snap := s.Metrics().Snapshot()
+		for _, name := range []string{"cdt_http_shed_rate_1m", "cdt_http_shed_rate_5m"} {
+			if got := snap[name]; got != want {
+				t.Errorf("%s = %v, want %v", name, got, want)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster/overview", nil))
+		var ov ClusterOverview
+		if err := json.Unmarshal(rec.Body.Bytes(), &ov); err != nil {
+			t.Fatalf("overview: %v\n%s", err, rec.Body)
+		}
+		if w := ov.Nodes[0].Window; w.Win1m.ShedRate != want || w.Win5m.ShedRate != want {
+			t.Errorf("overview shed_rate 1m=%v 5m=%v, want %v", w.Win1m.ShedRate, w.Win5m.ShedRate, want)
+		}
+	}
+	check(1)
+
+	s.pool().Release()
+	if code, _ := advance(t, h, nil, st.ID, 1); code != http.StatusOK {
+		t.Fatalf("advance after release: %d", code)
+	}
+	check(0.8)
+}
+
 // TestRejectionCounters checks the middleware failure counters: 413s
 // increment the body-reject counter, recovered panics increment the
 // panic counter, and both land in the request counter with their

@@ -36,7 +36,7 @@ const (
 func (s *Server) inTransitionRetry(l *Lease) time.Duration {
 	hint := time.Second
 	if l != nil {
-		if d := l.Expiry().Add(leaseGrace).Sub(s.Cluster.now()); d > hint {
+		if d := l.Expiry().Add(leaseGrace).Sub(s.leaseStore().now()); d > hint {
 			hint = d
 		}
 	}
@@ -81,7 +81,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string, pro
 
 	// Another node's job: find the peer to forward to — the recorded
 	// owner while the lease is live, else the designated successor.
-	expired := l != nil && l.Expired(s.Cluster.now(), leaseGrace)
+	expired := l != nil && l.Expired(s.leaseStore().now(), leaseGrace)
 	if l == nil {
 		// No lease and not ours: the HRW home is another peer. But
 		// first distinguish "not created yet" from "unadopted": a

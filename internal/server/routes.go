@@ -22,6 +22,10 @@ type route struct {
 	stream bool
 }
 
+// advancePath is the advance route's pattern, named because the shed
+// rate (metrics.go) divides by that route's request windows.
+const advancePath = "/v1/jobs/{id}/advance"
+
 // routes is the broker's route table — the one place the API surface
 // is spelled out (the package doc lists the same endpoints).
 func (s *Server) routes() []route {
@@ -31,7 +35,7 @@ func (s *Server) routes() []route {
 		{method: http.MethodPost, path: "/v1/jobs", serve: s.handleCreateJob},
 		{method: http.MethodGet, path: "/v1/jobs/{id}", job: s.handleGetJob},
 		{method: http.MethodDelete, path: "/v1/jobs/{id}", job: s.handleDeleteJob},
-		{method: http.MethodPost, path: "/v1/jobs/{id}/advance", job: s.handleAdvance},
+		{method: http.MethodPost, path: advancePath, job: s.handleAdvance},
 		{method: http.MethodPost, path: "/v1/jobs/{id}/snapshot", job: s.handleSnapshot},
 		{method: http.MethodGet, path: "/v1/jobs/{id}/estimates", job: s.handleEstimates},
 		{method: http.MethodGet, path: "/v1/jobs/{id}/events", job: s.handleJobEvents, stream: true},

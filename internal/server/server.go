@@ -370,7 +370,7 @@ func (s *Server) statusLocked(j *job) JobStatus {
 		st.Lease = &JobLeaseStatus{
 			Owner:            j.lease.Owner,
 			Epoch:            j.lease.Epoch,
-			ExpiresInSeconds: j.lease.Expiry().Sub(s.Cluster.now()).Seconds(),
+			ExpiresInSeconds: j.lease.Expiry().Sub(s.leaseStore().now()).Seconds(),
 		}
 		if p, ok := s.Cluster.peer(j.lease.Owner); ok {
 			st.Links.Owner = p.URL + "/v1/jobs/" + j.id
@@ -438,8 +438,9 @@ type Server struct {
 	// job it serves is backed by a lease it renews, requests for jobs
 	// a peer owns are transparently proxied to that peer, and a
 	// crashed peer's jobs fail over to their hash-designated
-	// successors. Requires a LeaseStore-capable Store; set it (and
-	// validate with ValidateCluster) before serving or loading.
+	// successors. Requires a FileStore or WALStore as the Store (its
+	// Now is the cluster's clock); set it (and validate with
+	// ValidateCluster) before serving or loading.
 	Cluster *Cluster
 
 	// Registry, if non-nil, is the metrics registry the broker

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,20 +27,24 @@ type Store interface {
 	List() ([]string, error)
 }
 
-// FileStore is a directory-backed Store: one `<id>.json` file per
-// job, written via a temp file and os.Rename so readers and crash
-// recovery never observe a partial snapshot. It also implements the
-// LeaseStore extension (see lease.go): multi-node deployments keep a
-// `<id>.json.lease` ownership record next to each snapshot.
+// FileStore is the broker's one file-backed store: one `<id>.json`
+// snapshot per job, replaced atomically (see replace) so readers and
+// crash recovery never observe a partial snapshot. Multi-node
+// deployments also keep a `<id>.json.lease` ownership record next to
+// each snapshot (lease.go), and WALStore embeds a FileStore to add a
+// `<id>.wal` round log beside both. Its Now is the one clock every
+// lease and ownership decision reads.
 type FileStore struct {
 	dir string
 
-	// Now, when set, replaces wall time in every lease expiry decision
-	// — the injection point the clock-skew and failover tests use. Set
-	// it before the store is shared; nil means time.Now.
+	// Now, when set, replaces wall time in every lease expiry and
+	// ownership decision — the injection point the clock-skew and
+	// failover tests use. Set it before the store is shared; nil means
+	// time.Now.
 	Now func() time.Time
 
-	leaseCounters
+	// The lease protocol's counters, reported by LeaseStats.
+	leaseAcquired, leaseStolen, leaseFenced, leaseCorrupt, leaseSwept atomic.Uint64
 }
 
 // NewFileStore creates (if needed) the directory and returns the
@@ -76,35 +81,60 @@ func (f *FileStore) path(id string) string {
 	return filepath.Join(f.dir, id+".json")
 }
 
-// Save implements Store with write-to-temp + atomic rename.
+// Save implements Store with replace's write-to-temp + atomic rename.
 func (f *FileStore) Save(id string, data []byte) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(f.dir, "."+id+"-*.tmp")
+	_, err := f.replace("save", id, ".json", data, false)
+	return err
+}
+
+// replace is the one durable-replace path for every file the store
+// writes (snapshot, lease record, WAL segment header): the bytes go to
+// a hidden temp file that is fsynced and closed, renamed over
+// `<id><suffix>`, and the directory is fsynced, so a crash leaves
+// either the old file or the new one — never a torn one — and the
+// rename itself survives a power loss. A failure before the rename
+// removes the temp file. With keep, the temp file is not closed: its still-open handle,
+// now naming the replaced file, is returned for further appends (the
+// WAL segment's); otherwise the result is nil. op prefixes errors.
+func (f *FileStore) replace(op, id, suffix string, data []byte, keep bool) (*os.File, error) {
+	fail := func(err error) (*os.File, error) {
+		return nil, fmt.Errorf("server: %s %s: %w", op, id, err)
+	}
+	tmp, err := os.CreateTemp(f.dir, "."+id+suffix+"-*.tmp")
 	if err != nil {
-		return fmt.Errorf("server: save %s: %w", id, err)
+		return fail(err)
 	}
 	_, werr := tmp.Write(data)
 	serr := tmp.Sync()
-	cerr := tmp.Close()
+	var cerr error
+	if !keep {
+		cerr = tmp.Close()
+	}
 	if err := errors.Join(werr, serr, cerr); err != nil {
+		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("server: save %s: %w", id, err)
+		return fail(err)
 	}
-	if err := os.Rename(tmp.Name(), f.path(id)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(f.dir, id+suffix)); err != nil {
+		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("server: save %s: %w", id, err)
+		return fail(err)
 	}
-	// The temp file's CONTENT is now durable (tmp.Sync above), but the
+	// The temp file's CONTENT is durable (tmp.Sync above), but the
 	// rename lives in the parent directory's entries: without syncing
 	// the directory a power loss can forget the rename and resurface
-	// the previous snapshot — or nothing. fsync the directory so the
-	// new snapshot survives the plug being pulled.
+	// the previous file — or nothing.
 	if err := syncDir(f.dir); err != nil {
-		return fmt.Errorf("server: save %s: %w", id, err)
+		tmp.Close()
+		return fail(err)
 	}
-	return nil
+	if !keep {
+		return nil, nil
+	}
+	return tmp, nil
 }
 
 // syncDir fsyncs a directory's entry table.

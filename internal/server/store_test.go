@@ -49,15 +49,7 @@ func TestFileStoreBasics(t *testing.T) {
 		t.Fatal("load after delete succeeded")
 	}
 	// No temp litter after saves.
-	entries, err := os.ReadDir(fs.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".tmp" {
-			t.Errorf("temp file left behind: %s", e.Name())
-		}
-	}
+	assertNoTemps(t, fs.Dir())
 }
 
 func TestFileStoreRejectsBadIDs(t *testing.T) {
@@ -375,5 +367,94 @@ func TestLoadAllVersion1Snapshot(t *testing.T) {
 				t.Fatalf("continued job saved %d bytes unlike the uninterrupted run's %d", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestStoreContract pins which concrete store drives which protocol:
+// a *FileStore is snapshot-only (never driven as a WAL), a *WALStore
+// is a RoundWAL, and either one holds the cluster's leases — the
+// WALStore through the FileStore it embeds.
+func TestStoreContract(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := newWALStore(t)
+	if _, ok := Store(fs).(RoundWAL); ok {
+		t.Fatal("*FileStore satisfies RoundWAL")
+	}
+	if _, ok := Store(ws).(RoundWAL); !ok {
+		t.Fatal("*WALStore does not satisfy RoundWAL")
+	}
+	s := New()
+	for _, c := range []struct {
+		store Store
+		lease *FileStore
+		kind  string
+	}{{fs, fs, "file"}, {ws, ws.FileStore, "wal"}} {
+		s.Store = c.store
+		if got := s.leaseStore(); got != c.lease {
+			t.Errorf("%s: lease store %p, want %p", c.kind, got, c.lease)
+		}
+		if got := s.storeKind(); got != c.kind {
+			t.Errorf("store kind %q, want %q", got, c.kind)
+		}
+	}
+}
+
+// TestDurableWritersCleanUpOnFailure drives each of the store's three
+// durable writers — snapshot, lease record, segment reset — into a
+// failed rename (a directory squats on the target name): each must
+// return an error, leave no temp file behind, and, for the segment,
+// register no open handle. With the squatter gone the same write
+// succeeds, again without litter.
+func TestDurableWritersCleanUpOnFailure(t *testing.T) {
+	ws := newWALStore(t)
+	for _, c := range []struct {
+		name, target string
+		write        func() error
+	}{
+		{"snapshot", "job-1.json", func() error { return ws.Save("job-1", []byte("{}")) }},
+		{"lease record", "job-1.json.lease", func() error {
+			return ws.writeLeaseLocked("job-1", Lease{Job: "job-1", Owner: "a", Epoch: 1})
+		}},
+		{"segment reset", "job-1.wal", func() error { return ws.ResetWAL("job-1", 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			squat := filepath.Join(ws.Dir(), c.target)
+			if err := os.MkdirAll(filepath.Join(squat, "keep"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.write(); err == nil {
+				t.Fatal("write over a directory succeeded")
+			}
+			assertNoTemps(t, ws.Dir())
+			if st := ws.WALStats(); st.OpenSegments != 0 || st.Resets != 0 {
+				t.Fatalf("failed write left WAL state behind: %+v", st)
+			}
+			if err := os.RemoveAll(squat); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.write(); err != nil {
+				t.Fatal(err)
+			}
+			assertNoTemps(t, ws.Dir())
+			if err := ws.Delete("job-1"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func assertNoTemps(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".tmp" {
+			t.Errorf("temp file left behind: %s", e.Name())
+		}
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"cmabhs/internal/core"
 	"cmabhs/internal/roundlog"
 )
 
@@ -23,7 +21,7 @@ import (
 //
 // The broker drives the protocol: ResetWAL whenever a fresh snapshot
 // of the job is durably saved (creation, compaction, recovery,
-// shutdown), AppendWAL after every advance, LoadWAL on restart.
+// shutdown), AppendWALEncoded after every advance, LoadWAL on restart.
 type RoundWAL interface {
 	Store
 
@@ -37,10 +35,6 @@ type RoundWAL interface {
 	// still holds the lease at epoch (so a zombie cannot truncate its
 	// successor's segment), and stamps epoch into the segment header.
 	ResetWALFenced(id string, base int, owner string, epoch int64) error
-
-	// AppendWAL durably appends the records to id's open segment and
-	// returns the total records the segment now holds.
-	AppendWAL(id string, recs []core.RoundRecord) (int, error)
 
 	// AppendWALEncoded durably appends n records that the caller has
 	// already rendered as segment entry lines (see
@@ -71,13 +65,14 @@ type WALStats struct {
 	TornTails uint64 `json:"torn_tails"`
 }
 
-// WALStore is the file-backed RoundWAL: a FileStore for snapshots plus
-// one `<id>.wal` segment per job in the same directory. Appends go
-// through a persistent O_APPEND handle and are fsynced once per batch
-// (one advance call = one batch), so a kill -9 can tear at most the
-// final line of a segment — which ReadSegment discards by design.
+// WALStore is the file-backed RoundWAL: the embedded FileStore (its
+// snapshots, leases and clock) plus one `<id>.wal` segment per job in
+// the same directory. Appends go through a persistent O_APPEND handle
+// and are fsynced once per batch (one advance call = one batch), so a
+// kill -9 can tear at most the final line of a segment — which
+// ReadSegment discards by design.
 type WALStore struct {
-	fs *FileStore
+	*FileStore
 
 	mu   sync.Mutex
 	open map[string]*walSegment
@@ -90,7 +85,6 @@ type WALStore struct {
 // walSegment is one job's open segment handle.
 type walSegment struct {
 	f       *os.File
-	base    int // first round the segment may hold
 	entries int // records appended since the last reset
 }
 
@@ -100,47 +94,12 @@ func NewWALStore(dir string) (*WALStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WALStore{fs: fs, open: make(map[string]*walSegment)}, nil
+	return &WALStore{FileStore: fs, open: make(map[string]*walSegment)}, nil
 }
-
-// Dir returns the backing directory.
-func (w *WALStore) Dir() string { return w.fs.Dir() }
 
 func (w *WALStore) walPath(id string) string {
-	return filepath.Join(w.fs.Dir(), id+".wal")
+	return filepath.Join(w.dir, id+".wal")
 }
-
-// Save, Load, and List delegate to the snapshot FileStore.
-func (w *WALStore) Save(id string, data []byte) error { return w.fs.Save(id, data) }
-func (w *WALStore) Load(id string) ([]byte, error)    { return w.fs.Load(id) }
-func (w *WALStore) List() ([]string, error)           { return w.fs.List() }
-
-// The LeaseStore extension delegates to the snapshot FileStore too:
-// leases live next to the snapshots they guard.
-func (w *WALStore) AcquireLease(id, owner string, ttl time.Duration) (Lease, error) {
-	return w.fs.AcquireLease(id, owner, ttl)
-}
-func (w *WALStore) RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error) {
-	return w.fs.RenewLease(id, owner, epoch, ttl)
-}
-func (w *WALStore) ReleaseLease(id, owner string, epoch int64) error {
-	return w.fs.ReleaseLease(id, owner, epoch)
-}
-func (w *WALStore) LoadLease(id string) (*Lease, error) { return w.fs.LoadLease(id) }
-func (w *WALStore) CheckLease(id, owner string, epoch int64) error {
-	return w.fs.CheckLease(id, owner, epoch)
-}
-func (w *WALStore) FencedSave(id string, data []byte, owner string, epoch int64) error {
-	return w.fs.FencedSave(id, data, owner, epoch)
-}
-func (w *WALStore) SweepLeases() (int, error) { return w.fs.SweepLeases() }
-func (w *WALStore) LeaseStats() LeaseStats    { return w.fs.LeaseStats() }
-
-// SetNow injects a clock into the underlying FileStore's lease-expiry
-// decisions (tests drive failover with it); nil restores wall time.
-func (w *WALStore) SetNow(fn func() time.Time) { w.fs.Now = fn }
-
-var _ LeaseStore = (*WALStore)(nil)
 
 // Delete removes id's snapshot and its WAL segment, closing the open
 // handle first.
@@ -157,11 +116,11 @@ func (w *WALStore) Delete(id string) error {
 	if err := os.Remove(w.walPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("server: delete %s wal: %w", id, err)
 	}
-	return w.fs.Delete(id) // fsyncs the directory for both removals
+	return w.FileStore.Delete(id) // fsyncs the directory for both removals
 }
 
-// ResetWAL implements RoundWAL: the fresh header-only segment is
-// written to a temp file, fsynced, and renamed over the old one, so a
+// ResetWAL implements RoundWAL: the fresh header-only segment goes
+// through the store's durable-replace path (FileStore.replace), so a
 // crash leaves either the old segment (harmless: recovery skips
 // entries below the snapshot round) or the new one — never a torn
 // header.
@@ -169,24 +128,12 @@ func (w *WALStore) ResetWAL(id string, base int) error {
 	return w.resetWAL(id, base, 0)
 }
 
-// ResetWALFenced implements RoundWAL. The epoch goes into the segment
-// header (see roundlog.EncodeSegmentHeaderEpoch) so recovery can detect
-// segments written by a later ownership generation.
+// ResetWALFenced implements RoundWAL through the store's write fence.
+// The epoch goes into the segment header (see
+// roundlog.EncodeSegmentHeaderEpoch) so recovery can detect segments
+// written by a later ownership generation.
 func (w *WALStore) ResetWALFenced(id string, base int, owner string, epoch int64) error {
-	if err := checkID(id); err != nil {
-		return err
-	}
-	return w.fs.withLeaseLock(id, func() error {
-		cur, err := w.fs.loadLeaseLocked(id)
-		if err != nil {
-			return err
-		}
-		if cur == nil || cur.Owner != owner || cur.Epoch != epoch {
-			w.fs.leaseFenced.Add(1)
-			return leaseLostErr(id, owner, epoch, cur)
-		}
-		return w.resetWAL(id, base, epoch)
-	})
+	return w.fenced(id, owner, epoch, func() error { return w.resetWAL(id, base, epoch) })
 }
 
 func (w *WALStore) resetWAL(id string, base int, epoch int64) error {
@@ -197,49 +144,20 @@ func (w *WALStore) resetWAL(id string, base int, epoch int64) error {
 	if err != nil {
 		return fmt.Errorf("server: wal reset %s: %w", id, err)
 	}
-	tmp, err := os.CreateTemp(w.fs.Dir(), "."+id+"-wal-*.tmp")
+	// The replaced file IS the open segment: keep appending through
+	// the same handle the header was written with.
+	f, err := w.replace("wal reset", id, ".wal", hdr, true)
 	if err != nil {
-		return fmt.Errorf("server: wal reset %s: %w", id, err)
+		return err
 	}
-	_, werr := tmp.Write(hdr)
-	serr := tmp.Sync()
-	if err := errors.Join(werr, serr); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: wal reset %s: %w", id, err)
-	}
-	if err := os.Rename(tmp.Name(), w.walPath(id)); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: wal reset %s: %w", id, err)
-	}
-	if err := syncDir(w.fs.Dir()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("server: wal reset %s: %w", id, err)
-	}
-	// The renamed file IS the open segment: keep appending through the
-	// same handle the header was written with.
 	w.mu.Lock()
 	if old, ok := w.open[id]; ok {
 		old.f.Close()
 	}
-	w.open[id] = &walSegment{f: tmp, base: base}
+	w.open[id] = &walSegment{f: f}
 	w.mu.Unlock()
 	w.resets.Add(1)
 	return nil
-}
-
-// AppendWAL implements RoundWAL: the batch is rendered to entry lines
-// and handed to AppendWALEncoded.
-func (w *WALStore) AppendWAL(id string, recs []core.RoundRecord) (int, error) {
-	if err := checkID(id); err != nil {
-		return 0, err
-	}
-	data, err := roundlog.EncodeSegmentRecords(recs)
-	if err != nil {
-		return 0, fmt.Errorf("server: wal append %s: %w", id, err)
-	}
-	return w.AppendWALEncoded(id, data, len(recs))
 }
 
 // AppendWALEncoded implements RoundWAL. The whole pre-encoded batch is

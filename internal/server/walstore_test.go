@@ -11,6 +11,7 @@ import (
 
 	"cmabhs"
 	"cmabhs/internal/core"
+	"cmabhs/internal/roundlog"
 )
 
 func newWALStore(t *testing.T) *WALStore {
@@ -31,15 +32,25 @@ func walRecs(base, n int) []core.RoundRecord {
 	return recs
 }
 
+// appendRecs renders recs as segment entry lines, as the broker's
+// observer does, and appends them in one batch.
+func appendRecs(ws *WALStore, id string, recs []core.RoundRecord) (int, error) {
+	data, err := roundlog.EncodeSegmentRecords(recs)
+	if err != nil {
+		return 0, err
+	}
+	return ws.AppendWALEncoded(id, data, len(recs))
+}
+
 func TestWALStoreAppendLoadCycle(t *testing.T) {
 	ws := newWALStore(t)
 	if err := ws.ResetWAL("job-1", 1); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ws.AppendWAL("job-1", walRecs(1, 3)); err != nil || n != 3 {
+	if n, err := appendRecs(ws, "job-1", walRecs(1, 3)); err != nil || n != 3 {
 		t.Fatalf("append: n=%d err=%v", n, err)
 	}
-	if n, err := ws.AppendWAL("job-1", walRecs(4, 2)); err != nil || n != 5 {
+	if n, err := appendRecs(ws, "job-1", walRecs(4, 2)); err != nil || n != 5 {
 		t.Fatalf("second append: n=%d err=%v", n, err)
 	}
 	seg, err := ws.LoadWAL("job-1")
@@ -75,7 +86,7 @@ func TestWALStoreAppendLoadCycle(t *testing.T) {
 
 func TestWALStoreAppendWithoutResetFails(t *testing.T) {
 	ws := newWALStore(t)
-	if _, err := ws.AppendWAL("job-1", walRecs(1, 1)); err == nil {
+	if _, err := appendRecs(ws, "job-1", walRecs(1, 1)); err == nil {
 		t.Fatal("append without an open segment succeeded")
 	}
 }
@@ -93,7 +104,7 @@ func TestWALStoreTornTailCounted(t *testing.T) {
 	if err := ws.ResetWAL("job-1", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.AppendWAL("job-1", walRecs(1, 2)); err != nil {
+	if _, err := appendRecs(ws, "job-1", walRecs(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the final record the way a kill -9 mid-write would.
@@ -341,7 +352,7 @@ func TestReplayWALChecksEveryRound(t *testing.T) {
 		if err := ws.ResetWAL("job-1", 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ws.AppendWAL("job-1", recs); err != nil {
+		if _, err := appendRecs(ws, "job-1", recs); err != nil {
 			t.Fatal(err)
 		}
 		c := cfg
