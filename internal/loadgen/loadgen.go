@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cmabhs/client"
+	"cmabhs/internal/metrics"
 )
 
 // Config describes one fixed-rate open-loop run.
@@ -109,8 +110,17 @@ type routeStats struct {
 	errors4xx   atomic.Uint64 // 4xx except 429
 	transport   atomic.Uint64 // connection/transport failures
 	skipped     atomic.Uint64 // op had nothing to act on (delete with no extras)
-	lat         *hist         // latency of every issued request, any outcome
+
+	lat *metrics.Histogram // latency in seconds of every issued request, any outcome
 }
+
+// clientBuckets is the client-side latency layout: 1 µs to 130 s at
+// 7% resolution (277 bounds). It is finer than the broker's
+// DefLatencyBuckets because a run keeps one histogram per op, not a
+// windowed ring per route, so the resolution costs little.
+var clientBuckets = metrics.GeometricBuckets(1e-6, 130, clientGrowth)
+
+const clientGrowth = 1.07
 
 // runner is one executing profile.
 type runner struct {
@@ -158,7 +168,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	r := &runner{cfg: cfg, stats: make(map[Op]*routeStats, len(allOps))}
 	for _, op := range allOps {
-		r.stats[op] = &routeStats{lat: newHist()}
+		r.stats[op] = &routeStats{lat: metrics.NewHistogram(clientBuckets)}
 	}
 	r.load = client.New(cfg.Target,
 		client.WithHTTPClient(hc),
@@ -371,7 +381,7 @@ func (r *runner) fire(ctx context.Context, a Arrival) {
 		st.skipped.Add(1)
 		return
 	}
-	st.lat.observe(time.Since(t0))
+	st.lat.Observe(max(0, time.Since(t0).Seconds()))
 	st.count.Add(1)
 	r.classify(st, err)
 }

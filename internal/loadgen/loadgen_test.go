@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cmabhs/internal/metrics"
 	"cmabhs/internal/server"
 )
 
@@ -86,27 +87,26 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
-// TestHistQuantiles sanity-checks the histogram's conservative
-// quantiles: never below the true value, within one bucket width above.
+// TestHistQuantiles sanity-checks the client-side latency histogram's
+// conservative quantiles: never below the true value, within one
+// bucket width above, and an exact max.
 func TestHistQuantiles(t *testing.T) {
-	h := newHist()
+	h := metrics.NewHistogram(clientBuckets)
 	for i := 1; i <= 1000; i++ {
-		h.observe(time.Duration(i) * time.Millisecond)
+		h.Observe((time.Duration(i) * time.Millisecond).Seconds())
 	}
-	for _, tc := range []struct {
-		q    float64
-		want time.Duration
-	}{{0.50, 500 * time.Millisecond}, {0.99, 990 * time.Millisecond}, {0.999, 999 * time.Millisecond}} {
-		got := h.quantile(tc.q)
+	s := h.Snapshot()
+	for _, tc := range []struct{ q, want float64 }{{0.50, 0.5}, {0.99, 0.99}, {0.999, 0.999}} {
+		got := s.Quantile(tc.q)
 		if got < tc.want {
 			t.Errorf("q%.3f = %v under-reports true %v", tc.q, got, tc.want)
 		}
-		if got > time.Duration(float64(tc.want)*histGrowth*histGrowth) {
+		if got > tc.want*clientGrowth*clientGrowth {
 			t.Errorf("q%.3f = %v too far above true %v", tc.q, got, tc.want)
 		}
 	}
-	if h.max() != time.Second {
-		t.Fatalf("max %v, want 1s", h.max())
+	if s.Max != 1 {
+		t.Fatalf("max %v, want 1s", s.Max)
 	}
 }
 

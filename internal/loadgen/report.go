@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"cmabhs/internal/metrics"
 )
 
 // RouteReport is one op's outcome tally plus latency quantiles.
@@ -78,8 +80,6 @@ type Report struct {
 	Server []ServerRoute `json:"server_routes,omitempty"`
 }
 
-func secs(d time.Duration) float64 { return d.Seconds() }
-
 // report snapshots the runner's counters into a Report. Called after
 // every in-flight request has drained.
 func (r *runner) report(elapsed time.Duration) *Report {
@@ -88,24 +88,25 @@ func (r *runner) report(elapsed time.Duration) *Report {
 		Seed:           r.cfg.Seed,
 		Mix:            r.cfg.Mix.String(),
 		OfferedRate:    r.cfg.Rate,
-		DurationS:      secs(elapsed),
+		DurationS:      elapsed.Seconds(),
 		MaxOutstanding: r.maxOutstanding.Load(),
 		Proxied:        r.proxied.Load(),
-		GenLagMaxS:     secs(time.Duration(r.lagMax.Load())),
+		GenLagMaxS:     time.Duration(r.lagMax.Load()).Seconds(),
 		Events: EventsReport{
 			Subscribers: r.cfg.Subscribers * r.cfg.Jobs,
 			Received:    r.events.Load(),
 			Reconnects:  r.eventsReconnects.Load(),
 		},
 	}
-	// Merge per-route histograms into one all-routes view by pooling
-	// observations bucket-by-bucket (identical bounds everywhere).
-	all := newHist()
+	// The all-routes view is the merge of the per-op histograms.
+	var all metrics.HistogramSnapshot
 	for _, op := range allOps {
 		st := r.stats[op]
 		if st.count.Load() == 0 && st.skipped.Load() == 0 {
 			continue
 		}
+		lat := st.lat.Snapshot()
+		all.Add(lat)
 		rr := RouteReport{
 			Op:          op,
 			Count:       st.count.Load(),
@@ -116,11 +117,11 @@ func (r *runner) report(elapsed time.Duration) *Report {
 			Errors4xx:   st.errors4xx.Load(),
 			Transport:   st.transport.Load(),
 			Skipped:     st.skipped.Load(),
-			P50S:        secs(st.lat.quantile(0.50)),
-			P99S:        secs(st.lat.quantile(0.99)),
-			P999S:       secs(st.lat.quantile(0.999)),
-			MaxS:        secs(st.lat.max()),
-			MeanS:       secs(st.lat.mean()),
+			P50S:        lat.Quantile(0.50),
+			P99S:        lat.Quantile(0.99),
+			P999S:       lat.Quantile(0.999),
+			MaxS:        lat.Max,
+			MeanS:       lat.Mean(),
 		}
 		rep.Routes = append(rep.Routes, rr)
 		rep.Requests += rr.Count
@@ -131,15 +132,6 @@ func (r *runner) report(elapsed time.Duration) *Report {
 		rep.Errors4xx += rr.Errors4xx
 		rep.Transport += rr.Transport
 		rep.Skipped += rr.Skipped
-		for i := range st.lat.counts {
-			if n := st.lat.counts[i].Load(); n > 0 {
-				all.counts[i].Add(n)
-				all.total.Add(n)
-			}
-		}
-		if m := uint64(st.lat.max()); m > all.maxNS.Load() {
-			all.maxNS.Store(m)
-		}
 	}
 	sort.Slice(rep.Routes, func(i, j int) bool { return rep.Routes[i].Count > rep.Routes[j].Count })
 	if rep.DurationS > 0 {
@@ -149,10 +141,10 @@ func (r *runner) report(elapsed time.Duration) *Report {
 		rep.ShedRate = float64(rep.Shed) / float64(rep.Requests)
 		rep.ErrorRate = float64(rep.Errors5xx+rep.Transport) / float64(rep.Requests)
 	}
-	rep.P50S = secs(all.quantile(0.50))
-	rep.P99S = secs(all.quantile(0.99))
-	rep.P999S = secs(all.quantile(0.999))
-	rep.MaxS = secs(all.max())
+	rep.P50S = all.Quantile(0.50)
+	rep.P99S = all.Quantile(0.99)
+	rep.P999S = all.Quantile(0.999)
+	rep.MaxS = all.Max
 	return rep
 }
 

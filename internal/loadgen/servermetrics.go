@@ -11,17 +11,23 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cmabhs/internal/metrics"
 )
 
 // Server-side latency comparison (Config.ServerMetrics): after the
 // run drains, the broker's /metrics exposition is scraped and its
-// cdt_http_request_seconds histograms are folded into per-route
-// quantiles next to the client-observed ones. The gap between the two
-// IS the network + client stack: server p99 ≈ client p99 means the
-// broker dominates; a wide gap points at the wire or the generator
-// host. Quantiles on both sides are conservative bucket upper bounds
-// (the server's buckets are coarser than the client's HDR histogram,
-// so small disagreements are expected bucket-width noise).
+// cdt_http_request_seconds histograms are parsed into per-route
+// metrics.HistogramSnapshots next to the client-observed ones. The gap
+// between the two IS the network + client stack: server p99 ≈ client
+// p99 means the broker dominates; a wide gap points at the wire or the
+// generator host. Both sides are the same histogram type with the same
+// quantile rule (a conservative bucket upper bound), over different
+// layouts: the server's DefLatencyBuckets are coarser than the
+// client's 7% geometric buckets, so small disagreements are expected
+// bucket-width noise. The exposition carries no exact max, so a
+// server quantile in the +Inf bucket reads as the largest finite
+// bound, a floor.
 
 // serverLatencyFamily is the histogram family compared against.
 const serverLatencyFamily = "cdt_http_request_seconds"
@@ -56,51 +62,6 @@ var opRoutes = map[Op]string{
 	OpSolve:     "/v1/game/solve",
 }
 
-// promHist is one scraped histogram series: cumulative bucket counts
-// by ascending upper bound (+Inf last), plus the _sum/_count samples.
-type promHist struct {
-	bounds []float64
-	cum    []uint64
-	count  uint64
-	sum    float64
-}
-
-// quantile mirrors the conservative upper-bound rule used everywhere
-// else in this package. The +Inf bucket has no upper bound; the last
-// finite bound is reported as a floor (">bound" territory).
-func (h *promHist) quantile(q float64) float64 {
-	if h.count == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.count)))
-	if target < 1 {
-		target = 1
-	}
-	for i, c := range h.cum {
-		if c >= target {
-			if math.IsInf(h.bounds[i], 1) {
-				break
-			}
-			return h.bounds[i]
-		}
-	}
-	// Landed in +Inf: the best honest answer without a max is the
-	// largest finite bound.
-	for i := len(h.bounds) - 1; i >= 0; i-- {
-		if !math.IsInf(h.bounds[i], 1) {
-			return h.bounds[i]
-		}
-	}
-	return 0
-}
-
-func (h *promHist) mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // scrapeServerRoutes fetches target's /metrics and reduces the
 // request-latency histograms to per-route rows (routes with no
 // traffic are dropped).
@@ -125,15 +86,15 @@ func scrapeServerRoutes(ctx context.Context, hc *http.Client, target string) ([]
 	}
 	out := make([]ServerRoute, 0, len(hists))
 	for route, h := range hists {
-		if h.count == 0 {
+		if h.Count == 0 {
 			continue
 		}
 		out = append(out, ServerRoute{
 			Route: route,
-			Count: h.count,
-			P50S:  h.quantile(0.50),
-			P99S:  h.quantile(0.99),
-			MeanS: h.mean(),
+			Count: h.Count,
+			P50S:  h.Quantile(0.50),
+			P99S:  h.Quantile(0.99),
+			MeanS: h.Mean(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
@@ -141,17 +102,18 @@ func scrapeServerRoutes(ctx context.Context, hc *http.Client, target string) ([]
 }
 
 // parseRouteHistograms extracts family's histogram series keyed by
-// route label from a Prometheus text-format exposition.
-func parseRouteHistograms(r io.Reader, family string) (map[string]*promHist, error) {
-	hists := make(map[string]*promHist)
-	at := func(route string) *promHist {
-		h, ok := hists[route]
-		if !ok {
-			h = &promHist{}
-			hists[route] = h
-		}
-		return h
+// route label from a Prometheus text-format exposition. The bytes come
+// off the network, so the whole parse is refused unless every series'
+// le bounds are non-negative, strictly ascending and end in +Inf, and
+// its cumulative counts (and _count) are finite, non-negative and
+// non-decreasing. Each series' Max is its largest finite bound.
+func parseRouteHistograms(r io.Reader, family string) (map[string]metrics.HistogramSnapshot, error) {
+	type series struct {
+		snap metrics.HistogramSnapshot
+		cum  uint64 // the last cumulative bucket count
+		inf  bool   // the +Inf bucket was seen
 	}
+	all := make(map[string]*series)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -184,29 +146,66 @@ func parseRouteHistograms(r io.Reader, family string) (map[string]*promHist, err
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: bad sample value in %q: %w", line, err)
 		}
-		h := at(route)
+		s := all[route]
+		if s == nil {
+			s = &series{}
+			all[route] = s
+		}
 		switch kind {
 		case "bucket":
-			bound, err := parseLe(labels["le"])
+			bound, err := strconv.ParseFloat(labels["le"], 64) // reads "+Inf" too
 			if err != nil {
 				return nil, fmt.Errorf("loadgen: bad le in %q: %w", line, err)
 			}
-			h.bounds = append(h.bounds, bound)
-			h.cum = append(h.cum, uint64(value))
+			n := len(s.snap.Bounds)
+			if s.inf || !(bound >= 0) || n > 0 && !(bound > s.snap.Bounds[n-1]) {
+				return nil, fmt.Errorf("loadgen: le out of order in %q", line)
+			}
+			cum, ok := sampleCount(value)
+			if !ok || cum < s.cum {
+				return nil, fmt.Errorf("loadgen: bad cumulative count in %q", line)
+			}
+			s.snap.Counts = append(s.snap.Counts, cum-s.cum)
+			s.cum, s.inf = cum, math.IsInf(bound, 1)
+			if !s.inf {
+				s.snap.Bounds = append(s.snap.Bounds, bound)
+			}
 		case "count":
-			h.count = uint64(value)
+			n, ok := sampleCount(value)
+			if !ok {
+				return nil, fmt.Errorf("loadgen: bad count in %q", line)
+			}
+			s.snap.Count = n
 		case "sum":
-			h.sum = value
+			if math.IsNaN(value) || math.IsInf(value, 0) {
+				return nil, fmt.Errorf("loadgen: non-finite sum in %q", line)
+			}
+			s.snap.Sum = value
 		}
 	}
-	return hists, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]metrics.HistogramSnapshot, len(all))
+	for route, s := range all {
+		if !s.inf {
+			return nil, fmt.Errorf("loadgen: %s{route=%q} has no +Inf bucket", family, route)
+		}
+		if n := len(s.snap.Bounds); n > 0 {
+			s.snap.Max = s.snap.Bounds[n-1]
+		}
+		out[route] = s.snap
+	}
+	return out, nil
 }
 
-func parseLe(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
+// sampleCount converts a count sample to an integer, refusing NaN,
+// infinities, negatives and values past 2⁶³.
+func sampleCount(v float64) (uint64, bool) {
+	if !(v >= 0 && v < 1<<63) {
+		return 0, false
 	}
-	return strconv.ParseFloat(s, 64)
+	return uint64(v), true
 }
 
 // parseLabels splits a label body (`a="x",b="y"`) into a map. Values
@@ -233,39 +232,27 @@ func parseLabels(s string) map[string]string {
 }
 
 // attachServerRoutes joins the scraped rows with the client-side
-// stats: every op mapping to a route pools its HDR histogram into
-// that row's client columns (identical bounds across ops, so pooling
-// is bucket-wise addition, same as the all-routes rollup).
+// stats: every op mapping to a route merges its latency histogram into
+// that row's client columns.
 func (r *runner) attachServerRoutes(rows []ServerRoute) []ServerRoute {
 	for i := range rows {
-		pooled := newHist()
+		var pooled metrics.HistogramSnapshot
 		var ops []string
 		for _, op := range allOps {
-			if opRoutes[op] != rows[i].Route {
-				continue
-			}
 			st := r.stats[op]
-			if st.count.Load() == 0 {
+			if opRoutes[op] != rows[i].Route || st.count.Load() == 0 {
 				continue
 			}
 			ops = append(ops, string(op))
-			rows[i].ClientCount += st.count.Load()
-			for b := range st.lat.counts {
-				if n := st.lat.counts[b].Load(); n > 0 {
-					pooled.counts[b].Add(n)
-					pooled.total.Add(n)
-				}
-			}
-			if m := uint64(st.lat.max()); m > pooled.maxNS.Load() {
-				pooled.maxNS.Store(m)
-			}
+			pooled.Add(st.lat.Snapshot())
 		}
 		if len(ops) == 0 {
 			continue
 		}
 		rows[i].Ops = strings.Join(ops, "+")
-		rows[i].ClientP50S = secs(pooled.quantile(0.50))
-		rows[i].ClientP99S = secs(pooled.quantile(0.99))
+		rows[i].ClientCount = pooled.Count
+		rows[i].ClientP50S = pooled.Quantile(0.50)
+		rows[i].ClientP99S = pooled.Quantile(0.99)
 	}
 	return rows
 }

@@ -2,7 +2,9 @@
 // CDT stack: named counters, gauges, and fixed-bucket histograms with
 // lock-free hot paths, collected in a Registry that exposes them in
 // Prometheus text format (WritePrometheus) and as a flat snapshot for
-// tests (Snapshot).
+// tests (Snapshot). Histogram is the one histogram implementation; a
+// rolling Window is a ring of them, and HistogramSnapshot carries the
+// one merge and quantile rule.
 //
 // Design rules:
 //
@@ -59,62 +61,10 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta (CAS loop; safe for concurrent use).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram counts observations into fixed buckets. Bounds are upper
-// bucket edges (le semantics); an implicit +Inf bucket catches the
-// rest. Observations also accumulate into a sum, so rate(sum)/rate
-// (count) yields a mean.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1, last is +Inf
-	sum    Gauge           // CAS-added float sum
-	count  atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
-// Cumulative returns the cumulative bucket counts in bound order with
-// the +Inf bucket last — exactly the le series of the exposition, so
-// tests can assert monotonicity directly.
-func (h *Histogram) Cumulative() []uint64 {
-	out := make([]uint64, len(h.counts))
-	var acc uint64
-	for i := range h.counts {
-		acc += h.counts[i].Load()
-		out[i] = acc
-	}
-	return out
-}
-
-// DefLatencyBuckets is the default latency histogram layout, in
-// seconds: half a millisecond through 10 s, roughly logarithmic.
-var DefLatencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
 
 type kind int
 
@@ -242,9 +192,8 @@ func (r *Registry) resolve(name, help string, k kind, buckets []float64, labels 
 		case kindGauge, kindGaugeFunc:
 			s.g = &Gauge{}
 		case kindHistogram:
-			h := &Histogram{bounds: f.buckets}
-			h.counts = make([]atomic.Uint64, len(f.buckets)+1)
-			s.h = h
+			s.h = &Histogram{}
+			s.h.init(&f.buckets)
 		}
 		f.series[sig] = s
 	}
@@ -264,27 +213,37 @@ func (s *series) value() float64 {
 }
 
 // Snapshot flattens every series into name{labels} → value, with
-// histograms expanded exactly like the exposition: name_bucket{le=...}
-// cumulative counts, name_sum, and name_count. It is the test-facing
-// read API.
+// histograms expanded exactly like the exposition (see samples). It
+// is the test-facing read API.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
+	emit := func(name, sig string, v float64) { out[name+sig] = v }
 	for _, f := range r.sortedFamilies() {
 		for _, s := range f.series {
-			if f.kind != kindHistogram {
-				out[f.name+s.sig] = s.value()
-				continue
-			}
-			cum := s.h.Cumulative()
-			for i, b := range f.buckets {
-				out[f.name+"_bucket"+withLabel(s.labels, "le", formatFloat(b))] = float64(cum[i])
-			}
-			out[f.name+"_bucket"+withLabel(s.labels, "le", "+Inf")] = float64(cum[len(cum)-1])
-			out[f.name+"_sum"+s.sig] = s.h.Sum()
-			out[f.name+"_count"+s.sig] = float64(s.h.Count())
+			f.samples(s, emit)
 		}
 	}
 	return out
+}
+
+// samples emits each exposition sample of one series: its value for a
+// counter or gauge; for a histogram the cumulative name_bucket{le}
+// series in bound order (+Inf last), then name_sum and name_count.
+func (f *family) samples(s *series, emit func(name, sig string, v float64)) {
+	if f.kind != kindHistogram {
+		emit(f.name, s.sig, s.value())
+		return
+	}
+	snap := s.h.Snapshot()
+	for i, c := range snap.Cumulative() {
+		le := "+Inf"
+		if i < len(f.buckets) {
+			le = formatFloat(f.buckets[i])
+		}
+		emit(f.name+"_bucket", withLabel(s.labels, "le", le), float64(c))
+	}
+	emit(f.name+"_sum", s.sig, snap.Sum)
+	emit(f.name+"_count", s.sig, float64(snap.Count))
 }
 
 // familyView is a scrape-time copy of one family: the immutable
@@ -388,36 +347,6 @@ func validName(name string, allowColon bool) bool {
 		case c == ':' && allowColon:
 		case c >= '0' && c <= '9' && i > 0:
 		default:
-			return false
-		}
-	}
-	return true
-}
-
-func validBuckets(name string, buckets []float64) []float64 {
-	if len(buckets) == 0 {
-		panic(fmt.Sprintf("metrics: histogram %s with no buckets", name))
-	}
-	for i := 1; i < len(buckets); i++ {
-		if !(buckets[i] > buckets[i-1]) {
-			panic(fmt.Sprintf("metrics: histogram %s buckets not strictly ascending", name))
-		}
-	}
-	if math.IsInf(buckets[len(buckets)-1], 1) {
-		buckets = buckets[:len(buckets)-1] // +Inf is implicit
-	}
-	return append([]float64(nil), buckets...)
-}
-
-func equalBuckets(a, b []float64) bool {
-	if n := len(b); n > 0 && math.IsInf(b[n-1], 1) {
-		b = b[:n-1]
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

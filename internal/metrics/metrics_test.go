@@ -76,7 +76,7 @@ func TestHistogramBucketsCumulativeAndMonotone(t *testing.T) {
 	for _, v := range []float64{0.005, 0.02, 0.02, 0.5, 2, 0.0001} {
 		h.Observe(v)
 	}
-	cum := h.Cumulative()
+	cum := h.Snapshot().Cumulative()
 	want := []uint64{2, 4, 5, 6} // ≤0.01, ≤0.1, ≤1, +Inf
 	for i := range want {
 		if cum[i] != want[i] {
@@ -88,11 +88,8 @@ func TestHistogramBucketsCumulativeAndMonotone(t *testing.T) {
 			t.Fatalf("cumulative buckets not monotone: %v", cum)
 		}
 	}
-	if h.Count() != 6 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if math.Abs(h.Sum()-2.5451) > 1e-12 {
-		t.Errorf("sum = %v", h.Sum())
+	if snap := h.Snapshot(); snap.Count != 6 || math.Abs(snap.Sum-2.5451) > 1e-12 || snap.Max != 2 {
+		t.Errorf("count = %d, sum = %v, max = %v", snap.Count, snap.Sum, snap.Max)
 	}
 }
 
@@ -100,7 +97,7 @@ func TestHistogramBoundaryIsInclusive(t *testing.T) {
 	r := New()
 	h := r.Histogram("h", "", []float64{1, 2})
 	h.Observe(1) // le="1" means v <= 1
-	if cum := h.Cumulative(); cum[0] != 1 {
+	if cum := h.Snapshot().Cumulative(); cum[0] != 1 {
 		t.Fatalf("observation at the bound landed in bucket %v", cum)
 	}
 }
@@ -139,8 +136,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if g.Value() != 8000 {
 		t.Errorf("gauge = %v", g.Value())
 	}
-	if h.Count() != 8000 || h.Cumulative()[0] != 8000 {
-		t.Errorf("histogram count = %d", h.Count())
+	if snap := h.Snapshot(); snap.Count != 8000 || snap.Cumulative()[0] != 8000 {
+		t.Errorf("histogram count = %d", snap.Count)
 	}
 }
 
@@ -208,7 +205,7 @@ func TestEmptyBucketsNormalizeToDefault(t *testing.T) {
 		t.Fatal("empty buckets resolved a different series than nil")
 	}
 	a.Observe(0.003)
-	if cum := a.Cumulative(); len(cum) != len(DefLatencyBuckets)+1 {
+	if cum := a.Snapshot().Cumulative(); len(cum) != len(DefLatencyBuckets)+1 {
 		t.Fatalf("bucket count %d, want %d", len(cum), len(DefLatencyBuckets)+1)
 	}
 	// A custom family re-registered with empty buckets is a layout

@@ -17,6 +17,7 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // deterministic — families sorted by name, series by label signature.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	emit := func(name, sig string, v float64) { writeSample(bw, name, sig, v) }
 	for _, f := range r.sortedFamilies() {
 		if f.help != "" {
 			bw.WriteString("# HELP ")
@@ -31,17 +32,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteString(f.kind.String())
 		bw.WriteByte('\n')
 		for _, s := range f.series {
-			if f.kind != kindHistogram {
-				writeSample(bw, f.name, s.sig, s.value())
-				continue
-			}
-			cum := s.h.Cumulative()
-			for i, b := range f.buckets {
-				writeSample(bw, f.name+"_bucket", withLabel(s.labels, "le", formatFloat(b)), float64(cum[i]))
-			}
-			writeSample(bw, f.name+"_bucket", withLabel(s.labels, "le", "+Inf"), float64(cum[len(cum)-1]))
-			writeSample(bw, f.name+"_sum", s.sig, s.h.Sum())
-			writeSample(bw, f.name+"_count", s.sig, float64(s.h.Count()))
+			f.samples(s, emit)
 		}
 	}
 	return bw.Flush()

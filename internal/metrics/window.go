@@ -1,19 +1,18 @@
 package metrics
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
 
-// Window is a rolling-window histogram/counter: a ring of fixed
-// sub-interval slots, each an epoch-tagged bucketed histogram. The
-// observe path is wait-free and mirrors the package's atomics
-// discipline — one epoch load (plus a CAS when the slot rolls over to
-// a new sub-interval) and a handful of atomic adds; no locks, no
-// background goroutine. Readers aggregate the slots whose epoch still
-// falls inside the window, so expiry is lazy and the read side never
-// mutates shared state.
+// Window is a rolling-window histogram: a ring of fixed sub-interval
+// slots, each an epoch-tagged Histogram over the window's bounds. A
+// count-only window (shed totals) is one with no finite bounds. The
+// observe path is wait-free and allocation-free — one epoch load
+// (plus a CAS when the slot rolls over to a new sub-interval) and one
+// Histogram.Observe; no locks, no background goroutine. Snapshot
+// merges the slots whose epoch still falls inside the window, so
+// expiry is lazy and the read side never mutates shared state.
 //
 // Two races are accepted and benign, both confined to a slot
 // boundary: an observation racing the CAS that recycles its slot may
@@ -29,18 +28,14 @@ type Window struct {
 }
 
 type windowSlot struct {
-	epoch   atomic.Int64
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-	maxBits atomic.Uint64
-	buckets []atomic.Uint64 // per-bound counts; len(bounds)+1 with +Inf last
+	epoch atomic.Int64
+	Histogram
 }
 
 // NewWindow builds a rolling window covering span, split into slots
 // sub-intervals. buckets are histogram upper bounds (nil for a
-// count-only window, e.g. shed totals); they follow the same
-// validation rules as Registry.Histogram. Panics on a non-positive
-// span or slot count.
+// count-only window); they follow the same validation rules as
+// Registry.Histogram. Panics on a non-positive span or slot count.
 func NewWindow(span time.Duration, slots int, buckets []float64) *Window {
 	if span <= 0 || slots <= 0 {
 		panic("metrics: NewWindow requires a positive span and slot count")
@@ -59,9 +54,7 @@ func NewWindow(span time.Duration, slots int, buckets []float64) *Window {
 	}
 	for i := range w.slots {
 		w.slots[i].epoch.Store(-1)
-		if len(buckets) > 0 {
-			w.slots[i].buckets = make([]atomic.Uint64, len(buckets)+1)
-		}
+		w.slots[i].init(&w.bounds)
 	}
 	return w
 }
@@ -81,80 +74,26 @@ func (w *Window) Observe(v float64) {
 		}
 		if s.epoch.CompareAndSwap(old, e) {
 			// This observer claimed the rollover and recycles the slot.
-			// A concurrent Observe between the CAS and these stores can
-			// lose its sample to the reset — the benign boundary race
+			// A concurrent Observe between the CAS and the reset can
+			// lose its sample to it — the benign boundary race
 			// documented on Window.
-			s.count.Store(0)
-			s.sumBits.Store(0)
-			s.maxBits.Store(0)
-			for i := range s.buckets {
-				s.buckets[i].Store(0)
-			}
+			s.reset()
 			break
 		}
 	}
-	s.count.Add(1)
-	addFloatBits(&s.sumBits, v)
-	maxFloatBits(&s.maxBits, v)
-	if len(s.buckets) > 0 {
-		i := 0
-		for i < len(w.bounds) && v > w.bounds[i] {
-			i++
-		}
-		s.buckets[i].Add(1)
-	}
+	s.Observe(v)
 }
 
-func addFloatBits(bits *atomic.Uint64, delta float64) {
-	for {
-		old := bits.Load()
-		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-func maxFloatBits(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) >= v || bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// WindowSnapshot is a point-in-time aggregate of the live slots.
-type WindowSnapshot struct {
-	Count   uint64
-	Sum     float64
-	Max     float64
-	Buckets []uint64 // per-bound counts aligned with Bounds; nil for count-only windows
-	Bounds  []float64
-}
-
-// Snapshot aggregates every slot whose epoch is still inside the
-// window. The newest slot is usually partial, so the effective span
-// ranges between span−slot and span.
-func (w *Window) Snapshot() WindowSnapshot {
+// Snapshot merges every slot whose epoch is still inside the window.
+// The newest slot is usually partial, so the effective span ranges
+// between span−slot and span.
+func (w *Window) Snapshot() HistogramSnapshot {
 	cur := w.now().UnixNano() / w.slotDur
 	min := cur - int64(len(w.slots)) + 1
-	snap := WindowSnapshot{Bounds: w.bounds}
-	if len(w.bounds) > 0 {
-		snap.Buckets = make([]uint64, len(w.bounds)+1)
-	}
+	snap := HistogramSnapshot{Bounds: w.bounds, Counts: make([]uint64, len(w.bounds)+1)}
 	for i := range w.slots {
-		s := &w.slots[i]
-		e := s.epoch.Load()
-		if e < min || e > cur {
-			continue
-		}
-		snap.Count += s.count.Load()
-		snap.Sum += math.Float64frombits(s.sumBits.Load())
-		if m := math.Float64frombits(s.maxBits.Load()); m > snap.Max {
-			snap.Max = m
-		}
-		for b := range s.buckets {
-			snap.Buckets[b] += s.buckets[b].Load()
+		if e := w.slots[i].epoch.Load(); e >= min && e <= cur {
+			snap.addFrom(&w.slots[i].Histogram)
 		}
 	}
 	return snap
@@ -162,30 +101,3 @@ func (w *Window) Snapshot() WindowSnapshot {
 
 // Count returns the number of observations currently in the window.
 func (w *Window) Count() uint64 { return w.Snapshot().Count }
-
-// Quantile returns the value at quantile q in [0,1], zero when the
-// snapshot is empty. Like the exposition histograms it reports the
-// bucket's upper bound, so the answer is conservative (never
-// under-reported); the +Inf bucket falls back to the exact observed
-// maximum.
-func (s WindowSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(s.Count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range s.Buckets {
-		cum += c
-		if cum < target {
-			continue
-		}
-		if i < len(s.Bounds) && s.Bounds[i] < s.Max {
-			return s.Bounds[i]
-		}
-		return s.Max
-	}
-	return s.Max
-}

@@ -88,7 +88,7 @@ func TestWindowQuantileConservative(t *testing.T) {
 	if got := snap.Quantile(0.99); got != 0.7 {
 		t.Fatalf("p99 = %v, want exact max 0.7", got)
 	}
-	if got := (WindowSnapshot{}).Quantile(0.5); got != 0 {
+	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 }
@@ -101,8 +101,8 @@ func TestWindowCountOnly(t *testing.T) {
 	if got := w.Count(); got != 5 {
 		t.Fatalf("count-only window count = %d, want 5", got)
 	}
-	if snap := w.Snapshot(); snap.Buckets != nil {
-		t.Fatalf("count-only window grew buckets: %v", snap.Buckets)
+	if snap := w.Snapshot(); len(snap.Bounds) != 0 || len(snap.Counts) != 1 {
+		t.Fatalf("count-only window has bounds %v, counts %v; want only the +Inf bucket", snap.Bounds, snap.Counts)
 	}
 	clk.advance(2 * time.Minute)
 	if got := w.Count(); got != 0 {

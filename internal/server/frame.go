@@ -88,10 +88,10 @@ func (s *Server) frame(rt route, next http.Handler) http.Handler {
 		defer func() {
 			took := time.Since(start)
 			m.inFlight.Add(-1)
-			rm.latency.Observe(took.Seconds())
-			for _, win := range [...]*metrics.Window{rm.win[0], rm.win[1], m.winAll[0], m.winAll[1]} {
-				win.Observe(took.Seconds())
-			}
+			secs := took.Seconds()
+			rm.latency.Observe(secs)
+			rm.win[0].Observe(secs)
+			rm.win[1].Observe(secs)
 			code := sw.code
 			if code == 0 {
 				code = http.StatusOK

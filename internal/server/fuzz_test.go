@@ -1,10 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"testing"
 	"time"
+
+	"cmabhs"
 )
 
 // FuzzLoadLease feeds arbitrary bytes to the lease-record reader that
@@ -81,6 +84,44 @@ func FuzzLoadLease(f *testing.F) {
 			}
 		case !expired || got.Epoch <= l.Epoch:
 			t.Fatalf("acquire over %+v granted %+v", *l, got)
+		}
+	})
+}
+
+// FuzzJobRequestConfig feeds arbitrary JSON to the create path's
+// request decoding, JobRequest.config and cmabhs.NewSession, as
+// handleCreateJob runs them. It must never panic, and it either
+// refuses the request or builds a session no larger than maxMarket
+// sellers and PoIs, so no wire value sizes an allocation unbounded.
+func FuzzJobRequestConfig(f *testing.F) {
+	for _, seed := range []string{
+		`{"random_sellers":6,"k":2,"rounds":20,"seed":1}`,
+		`{"random_sellers":2000000000,"k":1,"rounds":1}`,
+		`{"random_sellers":10000,"k":3,"pois":10000,"rounds":1}`,
+		`{"sellers":[{"a":0.2,"b":0.1,"q":0.9},{"a":0.3,"b":0.2,"q":0.5}],"k":1,"rounds":5,"pois":-3}`,
+		`{"random_sellers":8,"k":2,"rounds":50,"policy":"sw-ucb","solver":"exact","budget":3}`,
+		`{"random_sellers":8,"k":2,"rounds":50,"faults":{"churn":{"rate":0.5,"min_round":-1},` +
+			`"byzantine":{"sellers":[-1,99],"mode":"random","inflation":2},"straggler":{"prob":1,"deadline":-1}}}`,
+		`{"random_sellers":5,"k":9,"rounds":1,"theta":1e-300,"omega":1,"pj_max":-1}`,
+		`{"sellers":[],"k":0}`, `null`, `[]`, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req JobRequest
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		cfg, err := req.config()
+		if err != nil || req.K <= 0 || req.Rounds <= 0 {
+			return
+		}
+		sess, err := cmabhs.NewSession(cfg)
+		if err != nil {
+			return
+		}
+		if c := sess.Config(); len(c.Sellers) > maxMarket || c.PoIs > maxMarket {
+			t.Fatalf("built a session with %d sellers and %d pois, limit %d", len(c.Sellers), c.PoIs, maxMarket)
 		}
 	})
 }

@@ -40,10 +40,9 @@ type serverMetrics struct {
 	inFlight *metrics.Gauge
 	routes   map[string]*routeMetrics // by route label
 
-	// Rolling 1m/5m windows alongside the cumulative families
+	// Rolling 1m/5m shed windows alongside the cumulative counter
 	// (exposed as *_1m/*_5m gauge series, see registerWindows).
 	// Index 0 is the 1-minute window, index 1 the 5-minute one.
-	winAll  [2]*metrics.Window // all routes pooled (overview rollup)
 	winShed [2]*metrics.Window // count-only
 
 	shed       *metrics.Counter
@@ -193,9 +192,9 @@ var windowSpans = [2]struct {
 	{"5m", 5 * time.Minute, 15},
 }
 
-// registerWindows builds the pooled and shed rolling 1m/5m windows;
-// registerRoute adds each route's. All are exported as gauge families
-// computed at scrape time:
+// registerWindows builds the shed rolling 1m/5m windows;
+// registerRoute adds each route's latency windows. All are exported as
+// gauge families computed at scrape time:
 //
 //	cdt_http_request_seconds_p50_{1m,5m}{route=...}  windowed latency quantiles
 //	cdt_http_request_seconds_p99_{1m,5m}{route=...}
@@ -209,7 +208,6 @@ var windowSpans = [2]struct {
 // overview) answers "what is p99 right now" with no PromQL engine.
 func (m *serverMetrics) registerWindows(reg *metrics.Registry) {
 	for i, ws := range windowSpans {
-		m.winAll[i] = metrics.NewWindow(ws.span, ws.slots, metrics.DefLatencyBuckets)
 		m.winShed[i] = metrics.NewWindow(ws.span, ws.slots, nil)
 		shed := m.winShed[i]
 		reg.GaugeFunc("cdt_http_shed_"+ws.suffix,
@@ -270,12 +268,17 @@ func (m *serverMetrics) recordShed() {
 	m.winShed[1].Observe(1)
 }
 
-// rollup aggregates the pooled latency/shed windows into the wire
-// form the cluster overview reports for this node.
+// rollup merges every route's latency window, and reads the shed
+// windows, into the wire form the cluster overview reports for this
+// node. Every request frame (table routes, 405s and "other") records
+// into its route's windows, so the merge covers all traffic once.
 func (m *serverMetrics) rollup() WindowRollup {
 	var r WindowRollup
 	for i := range windowSpans {
-		snap := m.winAll[i].Snapshot()
+		var snap metrics.HistogramSnapshot
+		for _, rm := range m.routes {
+			snap.Add(rm.win[i].Snapshot())
+		}
 		wr := WindowRates{
 			Requests: snap.Count,
 			P50S:     snap.Quantile(0.5),

@@ -3,11 +3,17 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"cmabhs/internal/metrics"
 )
@@ -338,3 +344,72 @@ func TestSharedRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsExpositionGolden pins the broker's whole /metrics body
+// byte for byte for one fixed observation sequence: every route's
+// latency histogram and rolling windows, and the shed windows, all on
+// an injected clock that crosses slot boundaries so some samples age
+// out of the 1m windows but not the 5m ones. The build_info labels
+// that name the toolchain are normalised. Regenerate with
+// `go test ./internal/server -run TestMetricsExpositionGolden -update-golden`.
+func TestMetricsExpositionGolden(t *testing.T) {
+	s := New()
+	m := s.met()
+	clk := newFakeClock()
+	labels := make([]string, 0, len(m.routes))
+	for label, rm := range m.routes {
+		labels = append(labels, label)
+		rm.win[0].SetNow(clk.Now)
+		rm.win[1].SetNow(clk.Now)
+	}
+	sort.Strings(labels)
+	m.winShed[0].SetNow(clk.Now)
+	m.winShed[1].SetNow(clk.Now)
+
+	values := []float64{0, 0.0003, 0.0005, 0.004, 0.01, 0.07, 0.3, 2.5, 3, 12}
+	for step := 0; step < 6; step++ {
+		for i, label := range labels {
+			rm := m.routes[label]
+			for j := 0; j < (i+step)%4+1; j++ {
+				v := values[(i*3+step*7+j)%len(values)] * (1 + float64(step)/8)
+				rm.latency.Observe(v)
+				rm.win[0].Observe(v)
+				rm.win[1].Observe(v)
+			}
+		}
+		if step%2 == 0 {
+			m.recordShed()
+		}
+		clk.Advance(17 * time.Second)
+	}
+
+	var b strings.Builder
+	if err := s.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(`(go_version|version)="[^"]*"`).ReplaceAllString(b.String(), `$1="X"`)
+	path := filepath.Join("testdata", "metrics_exposition.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("exposition differs from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("exposition differs from %s in length: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/metrics_exposition.golden")

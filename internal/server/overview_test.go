@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"cmabhs/internal/metrics"
 )
 
 // TestOverviewSingleNode checks the endpoint works without a cluster:
@@ -192,5 +194,71 @@ func TestHealthzGoVersion(t *testing.T) {
 	}
 	if hz.GoVersion != runtime.Version() {
 		t.Fatalf("go_version %q, want %q", hz.GoVersion, runtime.Version())
+	}
+}
+
+// TestOverviewRollupIsRouteMerge pins the overview's window rollup as
+// the merge of the per-route windows: requests, p50 and p99 equal the
+// merged route windows, and that merge counts every request served,
+// 405s and 404s included, exactly once.
+func TestOverviewRollupIsRouteMerge(t *testing.T) {
+	s := New()
+	h := s.Handler()
+	st := createJob(t, h)
+	sent := 1
+	for i := 0; i < 3; i++ {
+		if code, _ := advance(t, h, nil, st.ID, 2); code != http.StatusOK {
+			t.Fatalf("advance: %d", code)
+		}
+		sent++
+	}
+	for _, rq := range []struct {
+		method, path string
+		code         int
+	}{
+		{http.MethodGet, "/v1/jobs/" + st.ID, http.StatusOK},
+		{http.MethodGet, "/v1/healthz", http.StatusOK},
+		{http.MethodGet, "/v1/stats", http.StatusOK},
+		{http.MethodDelete, "/v1/stats", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/nope", http.StatusNotFound},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(rq.method, rq.path, nil))
+		if rec.Code != rq.code {
+			t.Fatalf("%s %s: %d, want %d", rq.method, rq.path, rec.Code, rq.code)
+		}
+		sent++
+	}
+	m := s.met()
+	if n := m.routes["other"].win[0].Count(); n != 1 {
+		t.Fatalf("other route window count %d, want the one 404", n)
+	}
+	if n := m.routes["/v1/stats"].win[0].Count(); n != 2 {
+		t.Fatalf("/v1/stats window count %d, want the GET and the 405", n)
+	}
+	var want [2]metrics.HistogramSnapshot
+	for _, rm := range m.routes {
+		for i := range want {
+			want[i].Add(rm.win[i].Snapshot())
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster/overview", nil))
+	var ov ClusterOverview
+	if err := json.Unmarshal(rec.Body.Bytes(), &ov); err != nil {
+		t.Fatalf("overview: %v\n%s", err, rec.Body)
+	}
+	for i, got := range []WindowRates{ov.Nodes[0].Window.Win1m, ov.Nodes[0].Window.Win5m} {
+		if got.Requests != uint64(sent) || got.Requests != want[i].Count {
+			t.Errorf("window %d requests %d, want %d sent and %d merged", i, got.Requests, sent, want[i].Count)
+		}
+		if got.P50S != want[i].Quantile(0.5) || got.P99S != want[i].Quantile(0.99) {
+			t.Errorf("window %d p50/p99 %v/%v, want merged %v/%v",
+				i, got.P50S, got.P99S, want[i].Quantile(0.5), want[i].Quantile(0.99))
+		}
+		if got.ShedRate != 0 {
+			t.Errorf("window %d shed_rate %v, want 0", i, got.ShedRate)
+		}
 	}
 }

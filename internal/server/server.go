@@ -109,9 +109,27 @@ type SellerSpec struct {
 	ExpectedQuality float64 `json:"q"`
 }
 
+// maxMarket bounds a job's market size: its seller count M and its
+// PoI count L. The broker allocates per seller, and every round an
+// L-float row per selected seller, so a few bytes of unbounded wire
+// value could make it allocate without limit. 10 000 is over 30× the
+// paper's M = 300 and 1000× its L = 10.
+const maxMarket = 10_000
+
+// checkMarket refuses a market larger than maxMarket.
+func checkMarket(sellers, pois int) error {
+	if sellers > maxMarket || pois > maxMarket {
+		return fmt.Errorf("market too large: %d sellers and %d pois, limit %d each", sellers, pois, maxMarket)
+	}
+	return nil
+}
+
 // config converts the wire request to a library configuration.
 func (r *JobRequest) config() (cmabhs.Config, error) {
 	var cfg cmabhs.Config
+	if err := checkMarket(max(len(r.Sellers), r.RandomSellers), r.PoIs); err != nil {
+		return cfg, err
+	}
 	switch {
 	case len(r.Sellers) > 0:
 		cfg = cmabhs.Config{}
@@ -852,6 +870,9 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		// the snapshot.
 		var err error
 		sess, err = cmabhs.ResumeSession(req.Snapshot)
+		if err == nil {
+			err = checkMarket(len(sess.Config().Sellers), sess.Config().PoIs)
+		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return

@@ -531,6 +531,9 @@ func TestWireNumbersFinite(t *testing.T) {
 // the envelope (economics.MinParam/MaxParam) are refused at entry with
 // 400 invalid_request — on create, on resume from an edited snapshot,
 // and on a stateless solve — and that no refused create leaves a job.
+// A market past maxMarket sellers or PoIs is refused the same way,
+// before anything is sized by it, while one exactly at the bound is
+// accepted.
 func TestOutOfRangeEconomicsRefused(t *testing.T) {
 	ts := newTestServer(t)
 	var donor JobStatus
@@ -556,6 +559,19 @@ func TestOutOfRangeEconomicsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	poisRe := regexp.MustCompile(`"PoIs":[^,}]*`)
+	if !poisRe.Match(snap.Snapshot) {
+		t.Fatalf("snapshot has no PoIs field: %s", snap.Snapshot)
+	}
+	hugeL, err := json.Marshal(map[string]json.RawMessage{
+		"snapshot": poisRe.ReplaceAll(snap.Snapshot, []byte(`"PoIs":2000000000`)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manySellers := `{"k":1,"rounds":1,"sellers":[` +
+		strings.Repeat(`{"a":0.2,"b":0.1,"q":0.5},`, maxMarket) + `{"a":0.2,"b":0.1,"q":0.5}]}`
+
 	job := `{"random_sellers":6,"k":2,"rounds":20,"seed":1,`
 	solve := `{"sellers":[{"a":0.2,"b":0.1,"q":0.9},{"a":0.3,"b":0.2,"q":0.5}],`
 	for _, tc := range []struct{ name, path, body string }{
@@ -566,6 +582,11 @@ func TestOutOfRangeEconomicsRefused(t *testing.T) {
 		{"create pj_max", "/v1/jobs", job + `"pj_max":1e308}`},
 		{"create tiny a", "/v1/jobs", `{"sellers":[{"a":1e-300,"b":0.1,"q":0.5},{"a":0.2,"b":0.1,"q":0.5}],"k":1,"rounds":20}`},
 		{"resume omega", "/v1/jobs", string(edited)},
+		{"create random_sellers huge", "/v1/jobs", `{"random_sellers":2000000000,"k":1,"rounds":1}`},
+		{"create random_sellers over", "/v1/jobs", `{"random_sellers":10001,"k":1,"rounds":1}`},
+		{"create sellers over", "/v1/jobs", manySellers},
+		{"create pois huge", "/v1/jobs", job + `"pois":2000000000}`},
+		{"resume pois huge", "/v1/jobs", string(hugeL)},
 		{"solve omega", "/v1/game/solve", solve + `"omega":1e308}`},
 		{"solve lambda", "/v1/game/solve", solve + `"lambda":1e308}`},
 	} {
@@ -588,5 +609,11 @@ func TestOutOfRangeEconomicsRefused(t *testing.T) {
 	var list []JobStatus
 	if code := do(t, ts, http.MethodGet, "/v1/jobs", nil, &list); code != http.StatusOK || len(list) != 0 {
 		t.Fatalf("jobs after refused creates: status %d, %d jobs, want none", code, len(list))
+	}
+	// A market exactly at the bound is accepted.
+	var edge JobStatus
+	if code := do(t, ts, http.MethodPost, "/v1/jobs",
+		JobRequest{RandomSellers: maxMarket, PoIs: maxMarket, K: 1, Rounds: 1}, &edge); code != http.StatusCreated || edge.Sellers != maxMarket {
+		t.Fatalf("create at the bound: status %d, %d sellers", code, edge.Sellers)
 	}
 }
