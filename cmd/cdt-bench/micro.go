@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cmabhs"
@@ -148,6 +150,46 @@ var microBenches = []benchCase{
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(payload)))
 			if rec.Code != http.StatusOK {
 				b.Fatalf("advance status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}},
+	{"encode_advance_body_m300_k10_r25", func(b *testing.B) {
+		// The advance body build alone: 25 played rounds and the job
+		// status, appended the way the advance handler appends them,
+		// with the status's per-seller text cache carried from one
+		// advance to the next. The inputs are 64 successive 25-round
+		// advances of one m300/k10 job from round 250 (the broker's
+		// advance workload age band), played and decoded off the clock
+		// and then cycled.
+		const first, rounds, bodies = 250, 25, 64
+		h, id := benchBroker(300, 10)
+		path := "/v1/jobs/" + id + "/advance"
+		advance := func(n int) server.AdvanceResponse {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"rounds":`+strconv.Itoa(n)+`}`)))
+			var resp server.AdvanceResponse
+			if rec.Code != http.StatusOK {
+				b.Fatalf("advance status %d: %s", rec.Code, rec.Body)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				b.Fatal(err)
+			}
+			return resp
+		}
+		advance(first - 1)
+		inputs := make([]server.AdvanceResponse, bodies)
+		for i := range inputs {
+			inputs[i] = advance(rounds)
+		}
+		encode := server.AdvanceBodyEncoder()
+		var body []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			in := &inputs[i%bodies]
+			var err error
+			if body, err = encode(body[:0], in.Played, in.Stopped, &in.Status); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}},

@@ -46,7 +46,8 @@ func (p *UCBGreedy) SelectK(round int, arms *Arms, k int) []int {
 	if cap(p.scores) < m {
 		p.scores = make([]float64, m)
 	}
-	scores := p.scores[:m]
+	p.scores = p.scores[:m]
+	scores := p.scores
 	factor := arms.UCBFactor(k)
 	for i := range scores {
 		scores[i] = arms.UCBAt(i, factor)
@@ -54,6 +55,12 @@ func (p *UCBGreedy) SelectK(round int, arms *Arms, k int) []int {
 	p.sel = TopKInto(p.sel, scores, k)
 	return p.sel
 }
+
+// Scores returns the Eq. 19 index of every arm as the last SelectK
+// computed it, indexed by arm, with -Inf for deactivated arms. The
+// slice is the policy's buffer: it is valid until the next SelectK
+// and must not be modified.
+func (p *UCBGreedy) Scores() []float64 { return p.scores }
 
 // UCB1Greedy is the ablation variant using the classic UCB1 index
 // instead of the (K+1)-scaled extended index.

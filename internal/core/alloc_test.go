@@ -75,6 +75,35 @@ func BenchmarkObservedRound(b *testing.B) {
 	}
 }
 
+// BenchmarkUCBSnapshot times the observer's Eq. 19 snapshot of all
+// M = 300 sellers on its own, the layer BenchmarkObservedRound can only
+// show as a difference of two noisy round times: the copy of a
+// UCB-greedy policy's scores, and the separate scan any other policy
+// still pays.
+func BenchmarkUCBSnapshot(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		policy bandit.Policy
+	}{{"policy=ucb-greedy", &bandit.UCBGreedy{}}, {"policy=ucb1", bandit.UCB1Greedy{}}} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg, _ := buildTestConfig(300, 10, 1<<30, 10, 9)
+			cfg.Observer = func(*RoundEvent) {}
+			m, err := NewMechanism(cfg, tc.policy)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := m.AdvanceN(context.Background(), 50, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.snapshotUCB(cfg.K)
+			}
+		})
+	}
+}
+
 // TestAdvanceNMatchesAdvanceContext: the batched fast path and the
 // copying compatibility path must walk through identical rounds.
 func TestAdvanceNMatchesAdvanceContext(t *testing.T) {

@@ -536,6 +536,35 @@ func (m *Mechanism) exploreRound() (*RoundRecord, error) {
 	return rec, nil
 }
 
+// snapshotUCB fills obsUCB with the Eq. 19 indices this round's
+// selection ranked, NaN for departed sellers. Selection only reads the
+// estimator state, so the indices are the same before and after it.
+// UCB-greedy already scored every arm into its buffer with the same
+// round factor, so its scores are copied rather than computed a second
+// time; any other policy gets one scan of its own, ln Σn taken once
+// for the round. Only observed rounds pay for either.
+func (m *Mechanism) snapshotUCB(k int) {
+	if len(m.obsUCB) != m.cfg.Market.M() {
+		m.obsUCB = make([]float64, m.cfg.Market.M())
+	}
+	if g, ok := m.policy.(*bandit.UCBGreedy); ok {
+		copy(m.obsUCB, g.Scores())
+	} else {
+		factor := m.arms.UCBFactor(k)
+		for i := range m.obsUCB {
+			m.obsUCB[i] = m.arms.UCBAt(i, factor)
+		}
+	}
+	if m.arms.ActiveCount() == len(m.obsUCB) {
+		return
+	}
+	for i := range m.obsUCB {
+		if !m.arms.Active(i) {
+			m.obsUCB[i] = math.NaN() // UCBAt's -Inf
+		}
+	}
+}
+
 // gameRound plays one exploit+explore round: UCB selection (or the
 // configured policy), the HS game, collection, settlement, and
 // estimator updates. The returned record and everything it references
@@ -554,24 +583,10 @@ func (m *Mechanism) gameRound(t int) (*RoundRecord, error) {
 		m.stopped = "no active sellers"
 		return nil, nil
 	}
-	if m.cfg.Observer != nil {
-		// Snapshot the Eq. 19 indices the selection is about to rank.
-		// Pure reads of the estimator state: computing them perturbs
-		// nothing, and they are skipped entirely without an observer.
-		// ln Σn is taken once for the round, not once per arm.
-		if len(m.obsUCB) != m.cfg.Market.M() {
-			m.obsUCB = make([]float64, m.cfg.Market.M())
-		}
-		factor := m.arms.UCBFactor(k)
-		for i := range m.obsUCB {
-			if m.arms.Active(i) {
-				m.obsUCB[i] = m.arms.UCBAt(i, factor)
-			} else {
-				m.obsUCB[i] = math.NaN()
-			}
-		}
-	}
 	selected := m.policy.SelectK(t, m.arms, k)
+	if m.cfg.Observer != nil {
+		m.snapshotUCB(k)
+	}
 
 	m.means = m.arms.MeansInto(m.means)
 	params := m.mkt.GameParamsInto(&m.params, selected, m.means, m.cfg.minQ())

@@ -43,7 +43,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -315,6 +314,11 @@ type job struct {
 	// has its own lock — subscribe/unsubscribe never waits on mu, so
 	// watching a job mid-advance is instant.
 	hub *eventHub
+
+	// wire caches the text of the status's per-seller vectors between
+	// encodes (see sellerText). Guarded by mu: a status is rendered
+	// and encoded under it.
+	wire sellerText
 
 	// series is the job's fixed-memory learning-curve recorder
 	// (GET /v1/jobs/{id}/series). Like the hub it has its own leaf
@@ -932,12 +936,9 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		s.leasesHeld.Add(1)
 	}
 	s.met().jobsCreated.Inc()
-	// The job is published: take its lock before reading state, a
-	// concurrent advance may already be running.
-	j.mu.Lock()
-	st := s.statusLocked(j)
-	j.mu.Unlock()
-	writeJSON(w, http.StatusCreated, st)
+	// The job is published: appendJob takes its lock before reading
+	// state, a concurrent advance may already be running.
+	s.writeJob(w, http.StatusCreated, j)
 }
 
 // handleListJobs serves GET /v1/jobs with optional ?limit= / ?after=
@@ -972,7 +973,9 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
 	}
-	out := make([]JobStatus, 0, len(ids))
+	body := getRespBuf()
+	defer body.release()
+	body.b = append(body.b, '[')
 	for _, id := range ids {
 		// A job may vanish between the id scan and here (concurrent
 		// delete); the page simply skips it.
@@ -980,18 +983,43 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		j.mu.Lock()
-		out = append(out, s.statusLocked(j))
-		j.mu.Unlock()
+		if len(body.b) > 1 {
+			body.b = append(body.b, ',')
+		}
+		var err error
+		if body.b, err = s.appendJob(body.b, j); err != nil {
+			httpError(w, http.StatusInternalServerError, "encode response: %v", err)
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	body.b = append(body.b, "]\n"...)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request, j *job) {
+	s.writeJob(w, http.StatusOK, j)
+}
+
+// writeJob writes j's status as the whole response body.
+func (s *Server) writeJob(w http.ResponseWriter, code int, j *job) {
+	body := getRespBuf()
+	defer body.release()
+	var err error
+	if body.b, err = s.appendJob(body.b, j); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	body.b = append(body.b, '\n')
+	writeBody(w, code, body)
+}
+
+// appendJob appends j's wire status, rendered and encoded under j.mu,
+// which guards the job's per-seller text cache.
+func (s *Server) appendJob(b []byte, j *job) ([]byte, error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	st := s.statusLocked(j)
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	return appendStatus(b, &st, &j.wire)
 }
 
 func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request, j *job) {
@@ -1045,13 +1073,13 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 	defer s.pool().Release()
 	// The body is built while the rounds play: each borrowed round is
-	// encoded straight into the pooled buffer, so no round is copied
+	// appended straight into the pooled buffer, so no round is copied
 	// and the body is never re-encoded. The bytes are exactly
-	// json.Marshal(AdvanceResponse{...}) plus a newline.
+	// json.Marshal(AdvanceResponse{...}) plus a newline (wire.go).
 	const head = `{"played":`
 	body := getRespBuf()
 	defer body.release()
-	body.WriteString(head)
+	body.b = append(body.b, head...)
 	var encErr error
 	start := time.Now()
 	j.mu.Lock()
@@ -1061,11 +1089,10 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, j *job) {
 			return
 		}
 		sep := byte(',')
-		if body.Len() == len(head) {
+		if len(body.b) == len(head) {
 			sep = '['
 		}
-		body.WriteByte(sep)
-		encErr = body.value(rd)
+		body.b, encErr = appendRound(append(body.b, sep), rd)
 	})
 	j.traceHook = nil
 	j.recordAdvance(played, time.Since(start))
@@ -1078,7 +1105,11 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, j *job) {
 		// with another advance.
 		leaseLost = s.flushWAL(r.Context(), j)
 	}
-	st := s.statusLocked(j)
+	if encErr == nil {
+		// The status is encoded under mu, which guards its text cache.
+		st := s.statusLocked(j)
+		body.b, encErr = appendAdvanceTail(body.b, played, stopped, &st, &j.wire)
+	}
 	j.mu.Unlock()
 	if leaseLost {
 		// The lease was stolen mid-advance: the successor owns the
@@ -1094,24 +1125,10 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 	s.met().roundsAdvanced.Add(uint64(played))
-	if played == 0 {
-		body.WriteString("null")
-	} else {
-		body.WriteByte(']')
-	}
-	if encErr == nil && stopped != "" {
-		body.WriteString(`,"stopped":`)
-		encErr = body.value(stopped)
-	}
-	if encErr == nil {
-		body.WriteString(`,"status":`)
-		encErr = body.value(&st)
-	}
 	if encErr != nil {
 		httpError(w, http.StatusInternalServerError, "encode response: %v", encErr)
 		return
 	}
-	body.WriteString("}\n")
 	writeBody(w, http.StatusOK, body)
 }
 
@@ -1467,7 +1484,9 @@ type DeleteResponse struct {
 // encoded once into a pooled buffer. Every float reaching here is
 // finite by construction (DESIGN §8): inputs are held to the economics
 // envelope at entry, and JobStatus zeroes the result fields a job does
-// not measure.
+// not measure. Job statuses and advance bodies do not come here: they
+// are appended by wire.go's encoders, with the same bytes and the same
+// 500 on a non-finite float.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	body := getRespBuf()
 	defer body.release()
@@ -1482,7 +1501,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeBody(w http.ResponseWriter, code int, body *respBuf) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(body.Bytes())
+	_, _ = w.Write(body.b)
 }
 
 // maxPooledBody is the largest response buffer returned to the pool;
@@ -1493,37 +1512,34 @@ const maxPooledBody = 1 << 20
 // respBufs pools response bodies across requests.
 var respBufs = sync.Pool{New: func() any {
 	b := new(respBuf)
-	b.enc = json.NewEncoder(&b.Buffer)
+	b.enc = json.NewEncoder(b)
 	return b
 }}
 
-// respBuf is a pooled response body with an encoder bound to it. The
-// encoder writes json.Marshal's bytes plus a newline.
+// respBuf is a pooled response body. The wire.go appenders append to
+// b directly; enc, bound to the buffer, writes any other value as
+// json.Marshal's bytes plus a newline.
 type respBuf struct {
-	bytes.Buffer
+	b   []byte
 	enc *json.Encoder
 }
 
 func getRespBuf() *respBuf {
 	b := respBufs.Get().(*respBuf)
-	b.Reset()
+	b.b = b.b[:0]
 	return b
 }
 
-func (b *respBuf) release() {
-	if b.Cap() <= maxPooledBody {
-		respBufs.Put(b)
-	}
+// Write appends p to the body; it is enc's sink.
+func (b *respBuf) Write(p []byte) (int, error) {
+	b.b = append(b.b, p...)
+	return len(p), nil
 }
 
-// value appends v's JSON without the encoder's trailing newline, for
-// building a body piece by piece. On error nothing is appended.
-func (b *respBuf) value(v any) error {
-	if err := b.enc.Encode(v); err != nil {
-		return err
+func (b *respBuf) release() {
+	if cap(b.b) <= maxPooledBody {
+		respBufs.Put(b)
 	}
-	b.Truncate(b.Len() - 1)
-	return nil
 }
 
 // ErrorBody is the structured half of the error envelope: a stable
