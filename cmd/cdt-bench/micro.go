@@ -21,10 +21,10 @@ import (
 
 // The -bench mode: instead of reproducing the paper's figures, run a
 // fixed set of micro-benchmarks over the hot paths (round advance,
-// game solve, snapshot encode, tracing overhead) and emit one record
-// per case — the performance trajectory CI archives per PR, so a
-// regression shows up as a diff between artifacts rather than an
-// anecdote.
+// game solve, snapshot encode and resume, tracing overhead) and emit
+// one record per case — the performance trajectory CI archives per
+// PR, so a regression shows up as a diff between artifacts rather
+// than an anecdote.
 
 // BenchResult is one benchmark case on the wire.
 type BenchResult struct {
@@ -220,6 +220,26 @@ var microBenches = []benchCase{
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sess.Save(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}},
+	{"snapshot_resume_m300_k10", func(b *testing.B) {
+		// What a broker restart pays per job: ResumeSession of an
+		// m300/k10 save at round 2500, inside the broker's advance
+		// workload age band.
+		sess := benchSession(300, 10, 5000)
+		if _, err := sess.AdvanceContext(context.Background(), 2500); err != nil {
+			b.Fatal(err)
+		}
+		data, err := sess.Save()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cmabhs.ResumeSession(data); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,11 +3,18 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"cmabhs"
+	"cmabhs/internal/tracing"
 )
 
 // FuzzLoadLease feeds arbitrary bytes to the lease-record reader that
@@ -122,6 +129,69 @@ func FuzzJobRequestConfig(f *testing.F) {
 		}
 		if c := sess.Config(); len(c.Sellers) > maxMarket || c.PoIs > maxMarket {
 			t.Fatalf("built a session with %d sellers and %d pois, limit %d", len(c.Sellers), c.PoIs, maxMarket)
+		}
+	})
+}
+
+// FuzzSeriesQuery drives GET /v1/jobs/{id}/series with arbitrary
+// metric, since and max_points values. Every request is a 200 or a
+// 400, never a panic (which the recovery middleware would turn into a
+// 500), and a 200 holds at most max_points points when max_points is
+// positive.
+func FuzzSeriesQuery(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"regret", "", ""},
+		{"revenue", "100", "10"},
+		{"no_trade", "0", "1"},
+		{"failed", "2999", "0"},
+		{"spend", "-1", ""},
+		{"bogus", "", ""},
+		{"", "99999999999999999999", "3"},
+		{"regret", "1e3", "0x10"},
+		{"regret", "", "9223372036854775807"},
+		{"%zz\x00", " 7", "+5"},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	lg, err := tracing.NewLogger(io.Discard, "text", "info")
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := New()
+	srv.Logger = lg
+	h := srv.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	rec := serve(http.MethodPost, "/v1/jobs", `{"random_sellers":10,"k":3,"rounds":3000,"seed":1}`)
+	var st JobStatus
+	if rec.Code != http.StatusCreated {
+		f.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		f.Fatal(err)
+	}
+	if rec := serve(http.MethodPost, "/v1/jobs/"+st.ID+"/advance", `{"rounds":3000}`); rec.Code != http.StatusOK {
+		f.Fatalf("advance: %d %s", rec.Code, rec.Body)
+	}
+	f.Fuzz(func(t *testing.T, metric, since, maxPoints string) {
+		q := url.Values{"metric": {metric}, "since": {since}, "max_points": {maxPoints}}
+		rec := serve(http.MethodGet, "/v1/jobs/"+st.ID+"/series?"+q.Encode(), "")
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("metric=%q since=%q max_points=%q: status %d %s", metric, since, maxPoints, rec.Code, rec.Body)
+		}
+		var resp SeriesResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("undecodable 200 body: %v\n%s", err, rec.Body)
+		}
+		if n, err := strconv.Atoi(maxPoints); err == nil && n > 0 && len(resp.Points) > n {
+			t.Fatalf("max_points=%d returned %d points", n, len(resp.Points))
 		}
 	})
 }

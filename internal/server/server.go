@@ -1155,11 +1155,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, j *job) 
 		}
 		persisted = true
 	}
-	writeJSON(w, http.StatusOK, SnapshotResponse{
-		ID:        j.id,
-		Persisted: persisted,
-		Snapshot:  json.RawMessage(data),
-	})
+	body := getRespBuf()
+	defer body.release()
+	body.b = appendSnapshotResponse(body.b, j.id, persisted, data)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleEstimates(w http.ResponseWriter, r *http.Request, j *job) {

@@ -206,6 +206,60 @@ func TestCreateJobFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotResponseBody: the snapshot body, appended around the
+// saved bytes, is exactly what json.Encoder writes for the same
+// SnapshotResponse, on a broker without a store (persisted:false) and
+// for a job re-created from a snapshot on a broker with one.
+func TestSnapshotResponseBody(t *testing.T) {
+	snapshot := func(ts *httptest.Server, id string, persisted bool) json.RawMessage {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs/"+id+"/snapshot", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot %s: %d %s", id, resp.StatusCode, body.Bytes())
+		}
+		var got SnapshotResponse
+		if err := json.Unmarshal(body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(SnapshotResponse{ID: id, Persisted: persisted, Snapshot: got.Snapshot}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body.Bytes(), want.Bytes()) {
+			t.Fatalf("snapshot %s body differs from json.Encoder's:\n%s\n%s", id, body.Bytes(), want.Bytes())
+		}
+		return got.Snapshot
+	}
+
+	bare := newTestServer(t)
+	var st JobStatus
+	if code := do(t, bare, http.MethodPost, "/v1/jobs", persistJobReq, &st); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	if code := do(t, bare, http.MethodPost, "/v1/jobs/"+st.ID+"/advance", AdvanceRequest{Rounds: 10}, nil); code != http.StatusOK {
+		t.Fatalf("advance: %d", code)
+	}
+	data := snapshot(bare, st.ID, false)
+
+	_, stored := persistentTestServer(t, t.TempDir())
+	var clone JobStatus
+	if code := do(t, stored, http.MethodPost, "/v1/jobs", JobRequest{Snapshot: data}, &clone); code != http.StatusCreated {
+		t.Fatalf("create from snapshot: %d", code)
+	}
+	if again := snapshot(stored, clone.ID, true); !bytes.Equal(again, data) {
+		t.Errorf("re-created job saves differently:\n%s\n%s", again, data)
+	}
+}
+
 func TestHealthzWithStore(t *testing.T) {
 	_, ts := persistentTestServer(t, t.TempDir())
 	var out Healthz

@@ -115,6 +115,22 @@ func AdvanceBodyEncoder() func(dst []byte, played []cmabhs.Round, stopped string
 	}
 }
 
+// appendSnapshotResponse appends the body json.Encoder writes for
+// SnapshotResponse{id, persisted, data}. data is a Session.Save, which
+// is already compact and HTML-escaped, so it is copied as it is rather
+// than compacted and escaped once more.
+func appendSnapshotResponse(b []byte, id string, persisted bool, data []byte) []byte {
+	w := jsonw{b: b}
+	w.raw(`{"id":`)
+	w.str(id)
+	w.raw(`,"persisted":`)
+	w.bool(persisted)
+	w.raw(`,"snapshot":`)
+	w.b = append(w.b, data...)
+	w.raw("}\n")
+	return w.b
+}
+
 func (w *jsonw) round(rd *cmabhs.Round) {
 	w.raw(`{"Round":`)
 	w.int(int64(rd.Round))

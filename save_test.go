@@ -158,6 +158,69 @@ func TestResumeSessionErrors(t *testing.T) {
 	}
 }
 
+// TestResumeSessionEdges pins the inputs that leave the one-pass
+// decode for the general path: whitespace after the snapshot is
+// accepted and anything else refused, as json.Unmarshal would; and of
+// a repeated "state" key the last one is resumed. (A version-1
+// snapshot is the third such input; TestV1SnapshotContinuesBitIdentical
+// covers it.)
+func TestResumeSessionEdges(t *testing.T) {
+	save := func(rounds int) []byte {
+		t.Helper()
+		sess, err := cmabhs.NewSession(saveTestConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Advance(rounds); err != nil {
+			t.Fatal(err)
+		}
+		data, err := sess.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	early, late := save(3), save(9)
+	with := func(data []byte, tail string) []byte {
+		return append(append([]byte(nil), data...), tail...)
+	}
+	if s, err := cmabhs.ResumeSession(with(late, " \t\r\n")); err != nil || s.NextRound() != 10 {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
+	for _, tail := range []string{" x", "{}", "0", "\v"} {
+		_, err := cmabhs.ResumeSession(with(late, tail))
+		if err == nil || !strings.Contains(err.Error(), "after top-level value") {
+			t.Errorf("trailing %q: got %v", tail, err)
+		}
+	}
+
+	stateOf := func(data []byte) string {
+		t.Helper()
+		var env struct{ State json.RawMessage }
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		return string(env.State)
+	}
+	for _, c := range []struct {
+		name        string
+		base, extra []byte
+		next        int
+	}{
+		{"early state repeated last", late, early, 4},
+		{"late state repeated last", early, late, 10},
+	} {
+		dup := with(c.base[:len(c.base)-1], `,"state":`+stateOf(c.extra)+`}`)
+		s, err := cmabhs.ResumeSession(dup)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if s.NextRound() != c.next {
+			t.Errorf("%s: resumed at round %d, want %d", c.name, s.NextRound(), c.next)
+		}
+	}
+}
+
 // TestResultAvgGuardsPublic: the public per-round averages must not
 // emit NaN before any round has been played.
 func TestResultAvgGuardsPublic(t *testing.T) {
