@@ -244,6 +244,39 @@ var microBenches = []benchCase{
 			}
 		}
 	}},
+	{"store_save_m20_k5", func(b *testing.B) {
+		// A steady-state snapshot save on the broker's file store: an
+		// m20/k5 save at round 150 (the snapshot workload's job size)
+		// written over an earlier one, as every save after a job's
+		// first does, into a fresh directory under the temp dir.
+		sess := benchSession(20, 5, 1000)
+		if _, err := sess.AdvanceContext(context.Background(), 149); err != nil {
+			b.Fatal(err)
+		}
+		data, err := sess.Save()
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir, err := os.MkdirTemp("", "cdt-bench-store-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		fs, err := server.NewFileStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fs.Save("job-1", data); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := fs.Save("job-1", data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}},
 	{"tracing_span_start_end", func(b *testing.B) {
 		tr := tracing.NewSeeded(1, 64)
 		ctx := context.Background()

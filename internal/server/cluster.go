@@ -121,7 +121,7 @@ func (j *job) leaseFor() *Lease {
 
 // fence verifies the job's lease claim against the store — the read
 // half of epoch fencing, used before WAL appends (the write half,
-// FencedSave/ResetWALFenced, guards the renames). Caller holds j.mu.
+// FencedSave/ResetWALFenced, guards the writes). Caller holds j.mu.
 // Single-node brokers pay one nil check.
 func (s *Server) fence(j *job) error {
 	if !s.clustered() || j.lease == nil {

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +19,79 @@ import (
 	"cmabhs"
 	"cmabhs/internal/tracing"
 )
+
+// FuzzSnapshotFile writes arbitrary bytes as `<id>.json`. Load must
+// not panic: a file starting with `{` is plain JSON from an older store
+// and loads as it is; anything else loads as the payload of a region
+// whose CRC-32C verifies (checked here against the file's bytes, not
+// through the store's parser) or is refused with ErrSnapshotCorrupt.
+// A save over the file then loads back exactly.
+func FuzzSnapshotFile(f *testing.F) {
+	one := newSnapFile(3, []byte(`{"a":1}`))
+	region := (len(one) - snapPage) / 2
+	two := append([]byte(nil), one...)
+	putRegion(two[snapPage+region:], 4, []byte(`{"a":2}`))
+	torn := append([]byte(nil), two...)
+	torn[snapPage+region+regionHeaderSize] ^= 1
+	for _, seed := range [][]byte{one, two, torn, one[:snapPage], []byte(`{"version":1}`), nil, []byte(snapMagic)} {
+		f.Add(seed)
+	}
+	fs, err := NewFileStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	const id = "job-1"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(fs.path(id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fs.Load(id)
+		switch {
+		case err != nil:
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("load refused with an untyped error: %v", err)
+			}
+		case len(data) > 0 && data[0] == '{':
+			if !bytes.Equal(got, data) {
+				t.Fatal("plain JSON did not load as it is")
+			}
+		case !verifiedPayload(data, got):
+			t.Fatalf("load returned %d bytes that are no verified region's payload", len(got))
+		}
+		saved := append([]byte("saved:"), data...)
+		if err := fs.Save(id, saved); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fs.Load(id); err != nil || !bytes.Equal(got, saved) {
+			t.Fatalf("load after save: %d bytes, err %v", len(got), err)
+		}
+	})
+}
+
+// verifiedPayload reports whether p is the payload of a region of file
+// whose magic, length and CRC-32C hold.
+func verifiedPayload(file, p []byte) bool {
+	if len(file) < snapHeaderSize {
+		return false
+	}
+	r := int(binary.LittleEndian.Uint32(file[12:]))
+	for i := 0; i < 2; i++ {
+		off := snapPage + i*r
+		if r < regionHeaderSize || off+r > len(file) || string(file[off:off+4]) != regionMagic {
+			continue
+		}
+		n := int(binary.LittleEndian.Uint32(file[off+12:]))
+		if n > r-regionHeaderSize {
+			continue
+		}
+		body := file[off+regionHeaderSize : off+regionHeaderSize+n]
+		sum := crc32.Checksum(append(append([]byte(nil), file[off+4:off+16]...), body...), crc32.MakeTable(crc32.Castagnoli))
+		if sum == binary.LittleEndian.Uint32(file[off+16:]) && bytes.Equal(body, p) {
+			return true
+		}
+	}
+	return false
+}
 
 // FuzzLoadLease feeds arbitrary bytes to the lease-record reader that
 // every ownership decision trusts. It must never panic or error on a

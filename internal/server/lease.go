@@ -31,10 +31,12 @@ import (
 // file (`<id>.lease.lock`), and the record itself is replaced with a
 // temp-file + rename, so concurrent brokers racing Acquire/Renew/Steal
 // observe each other's writes atomically — the same durable-replace
-// path (FileStore.replace) snapshots and WAL resets use. Every fenced
-// write (FencedSave, ResetWALFenced) runs its rename INSIDE that lock
-// through one check (FileStore.fenced), making fencing atomic with
-// respect to a concurrent steal, not merely check-then-write.
+// path (FileStore.replace) WAL resets and a snapshot file's first
+// write use. Every fenced write (FencedSave, ResetWALFenced) runs its
+// write — a segment rename, or a snapshot's in-place region write or
+// whole-file replace — INSIDE that lock through one check
+// (FileStore.fenced), making fencing atomic with respect to a
+// concurrent steal, not merely check-then-write.
 
 // Lease is one job's ownership record.
 type Lease struct {
@@ -339,11 +341,11 @@ func (f *FileStore) CheckLease(id, owner string, epoch int64) error {
 }
 
 // FencedSave writes a snapshot only while (owner, epoch) still holds
-// id's lease: the fencing check and the snapshot rename happen under
-// the same lease lock a steal must take, so the outcome is always one
-// of {old snapshot + old lease, old snapshot + new lease, new snapshot
-// + old lease} — never a stale owner's bytes landing after a
-// successor's.
+// id's lease: the fencing check and the snapshot write (see Save)
+// happen under the same lease lock a steal must take, so the outcome
+// is always one of {old snapshot + old lease, old snapshot + new
+// lease, new snapshot + old lease} — never a stale owner's bytes
+// landing after a successor's.
 func (f *FileStore) FencedSave(id string, data []byte, owner string, epoch int64) error {
 	return f.fenced(id, owner, epoch, func() error { return f.Save(id, data) })
 }

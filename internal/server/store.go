@@ -7,13 +7,14 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Store persists job snapshots across broker restarts. Implementations
 // must make Save atomic: a crash mid-save leaves either the previous
-// snapshot or the new one, never a torn file.
+// snapshot or the new one, never a torn one.
 type Store interface {
 	// Save durably stores the snapshot bytes under id, replacing any
 	// previous snapshot of that id.
@@ -28,12 +29,13 @@ type Store interface {
 }
 
 // FileStore is the broker's one file-backed store: one `<id>.json`
-// snapshot per job, replaced atomically (see replace) so readers and
-// crash recovery never observe a partial snapshot. Multi-node
-// deployments also keep a `<id>.json.lease` ownership record next to
-// each snapshot (lease.go), and WALStore embeds a FileStore to add a
-// `<id>.wal` round log beside both. Its Now is the one clock every
-// lease and ownership decision reads.
+// snapshot file per job, holding the snapshot in one of two
+// checksummed regions (snapfile.go) so readers and crash recovery
+// never observe a partial snapshot. Multi-node deployments also keep
+// a `<id>.json.lease` ownership record next to each snapshot
+// (lease.go), and WALStore embeds a FileStore to add a `<id>.wal`
+// round log beside both. Its Now is the one clock every lease and
+// ownership decision reads.
 type FileStore struct {
 	dir string
 
@@ -43,8 +45,49 @@ type FileStore struct {
 	// time.Now.
 	Now func() time.Time
 
+	// saving serializes the saves of one id in this process: two
+	// saves that read the same file would pick the same region.
+	saving idLocks
+
 	// The lease protocol's counters, reported by LeaseStats.
 	leaseAcquired, leaseStolen, leaseFenced, leaseCorrupt, leaseSwept atomic.Uint64
+}
+
+// idLocks is a set of per-id mutexes. An entry lives only while a
+// holder or a waiter needs it, so the map is bounded by the saves in
+// flight, not by every id ever saved.
+type idLocks struct {
+	mu sync.Mutex
+	m  map[string]*idLock
+}
+
+type idLock struct {
+	sync.Mutex
+	refs int
+}
+
+// lock takes id's mutex and returns its release.
+func (l *idLocks) lock(id string) (unlock func()) {
+	l.mu.Lock()
+	e := l.m[id]
+	if e == nil {
+		if l.m == nil {
+			l.m = make(map[string]*idLock)
+		}
+		e = &idLock{}
+		l.m[id] = e
+	}
+	e.refs++
+	l.mu.Unlock()
+	e.Lock()
+	return func() {
+		e.Unlock()
+		l.mu.Lock()
+		if e.refs--; e.refs == 0 {
+			delete(l.m, id)
+		}
+		l.mu.Unlock()
+	}
 }
 
 // NewFileStore creates (if needed) the directory and returns the
@@ -58,9 +101,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	}
 	return &FileStore{dir: dir}, nil
 }
-
-// Dir returns the backing directory.
-func (f *FileStore) Dir() string { return f.dir }
 
 // checkID rejects ids that could escape the directory.
 func checkID(id string) error {
@@ -81,24 +121,86 @@ func (f *FileStore) path(id string) string {
 	return filepath.Join(f.dir, id+".json")
 }
 
-// Save implements Store with replace's write-to-temp + atomic rename.
+// maxSnapshotBytes bounds one snapshot, so its region size fits the
+// file header's 32 bits.
+const maxSnapshotBytes = 1 << 30
+
+// Save implements Store. When `<id>.json` is already a two-region
+// file whose regions can hold data, data goes into the region that
+// does not hold the newest verified snapshot, at the next generation,
+// with one write and one fsync. Otherwise — the job's first save, a
+// snapshot that outgrew its region, a plain-JSON file from an older
+// store, or a file that is not one this store writes — the whole file
+// is replaced (see replace), with data in region 0. The region is
+// chosen from what is on disk at every save, never from a cached
+// generation, so an ownership steal and steal-back cannot reuse one.
 func (f *FileStore) Save(id string, data []byte) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
-	_, err := f.replace("save", id, ".json", data, false)
+	if len(data) > maxSnapshotBytes {
+		return fmt.Errorf("server: save %s: snapshot of %d bytes exceeds %d", id, len(data), maxSnapshotBytes)
+	}
+	defer f.saving.lock(id)()
+	gen, done, err := f.saveInPlace(id, data)
+	if done || err != nil {
+		return err
+	}
+	_, err = f.replace("save", id, ".json", newSnapFile(gen, data), false)
 	return err
 }
 
-// replace is the one durable-replace path for every file the store
-// writes (snapshot, lease record, WAL segment header): the bytes go to
-// a hidden temp file that is fsynced and closed, renamed over
-// `<id><suffix>`, and the directory is fsynced, so a crash leaves
-// either the old file or the new one — never a torn one — and the
-// rename itself survives a power loss. A failure before the rename
-// removes the temp file. With keep, the temp file is not closed: its still-open handle,
-// now naming the replaced file, is returned for further appends (the
-// WAL segment's); otherwise the result is nil. op prefixes errors.
+// saveInPlace writes data into the older region of id's two-region
+// file. It reports done=false, with the generation the replacement
+// file should carry, when the file must be replaced instead.
+func (f *FileStore) saveInPlace(id string, data []byte) (gen uint64, done bool, err error) {
+	h, err := os.OpenFile(f.path(id), os.O_RDWR, 0)
+	if err != nil {
+		return 1, false, nil
+	}
+	defer h.Close()
+	st, err := h.Stat()
+	if err != nil {
+		return 1, false, nil
+	}
+	buf := make([]byte, st.Size())
+	if _, err := h.ReadAt(buf, 0); err != nil {
+		return 1, false, nil
+	}
+	sf, ok := parseSnapFile(buf)
+	if !ok {
+		return 1, false, nil
+	}
+	target, gen := 0, uint64(1)
+	if n := sf.newest(); n >= 0 {
+		target, gen = 1-n, sf.gen[n]+1
+	}
+	if gen == 0 { // the newest region holds the last generation
+		return 1, false, nil
+	}
+	if regionHeaderSize+len(data) > sf.region {
+		return gen, false, nil
+	}
+	off := snapPage + target*sf.region
+	if _, err := h.WriteAt(putRegion(buf[off:], gen, data), int64(off)); err != nil {
+		return 0, false, fmt.Errorf("server: save %s: %w", id, err)
+	}
+	if err := h.Sync(); err != nil {
+		return 0, false, fmt.Errorf("server: save %s: %w", id, err)
+	}
+	return 0, true, nil
+}
+
+// replace is the one durable-replace path for every whole file the
+// store writes (a new snapshot file, lease record, WAL segment
+// header): the bytes go to a hidden temp file that is fsynced and
+// closed, renamed over `<id><suffix>`, and the directory is fsynced,
+// so a crash leaves either the old file or the new one — never a torn
+// one — and the rename itself survives a power loss. A failure before
+// the rename removes the temp file. With keep, the temp file is not
+// closed: its still-open handle, now naming the replaced file, is
+// returned for further appends (the WAL segment's); otherwise the
+// result is nil. op prefixes errors.
 func (f *FileStore) replace(op, id, suffix string, data []byte, keep bool) (*os.File, error) {
 	fail := func(err error) (*os.File, error) {
 		return nil, fmt.Errorf("server: %s %s: %w", op, id, err)
@@ -148,7 +250,10 @@ func syncDir(dir string) error {
 	return errors.Join(serr, cerr)
 }
 
-// Load implements Store.
+// Load implements Store with one read of `<id>.json`: the newest
+// region of a two-region file that verifies, or a plain-JSON file
+// (one that starts with `{`, as older stores wrote) as it is. Anything
+// else is ErrSnapshotCorrupt.
 func (f *FileStore) Load(id string) ([]byte, error) {
 	if err := checkID(id); err != nil {
 		return nil, err
@@ -157,11 +262,22 @@ func (f *FileStore) Load(id string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: load %s: %w", id, err)
 	}
-	return data, nil
+	if len(data) > 0 && data[0] == '{' {
+		return data, nil
+	}
+	sf, ok := parseSnapFile(data)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s: neither JSON nor a two-region file", ErrSnapshotCorrupt, id)
+	}
+	n := sf.newest()
+	if n < 0 {
+		return nil, fmt.Errorf("%w: %s: no region verifies", ErrSnapshotCorrupt, id)
+	}
+	return sf.payload[n], nil
 }
 
 // Delete implements Store. The removal is fsynced for the same
-// reason Save fsyncs the rename: a deleted job must not resurrect
+// reason replace fsyncs a rename: a deleted job must not resurrect
 // after a power loss. The job's lease record and any leftover lease
 // lock go with it — a deleted job has no ownership to dispute.
 func (f *FileStore) Delete(id string) error {

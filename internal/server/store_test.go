@@ -3,11 +3,17 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 
 	"cmabhs"
@@ -510,5 +516,303 @@ func assertNoTemps(t *testing.T, dir string) {
 		if filepath.Ext(e.Name()) == ".tmp" {
 			t.Errorf("temp file left behind: %s", e.Name())
 		}
+	}
+}
+
+// Dir returns the backing directory.
+func (f *FileStore) Dir() string { return f.dir }
+
+// snapPayload is a deterministic 6000-byte snapshot stand-in: payloads
+// with different tags differ at almost every byte, and each spans two
+// pages of its region.
+func snapPayload(tag int64) []byte {
+	b := make([]byte, 6000)
+	rand.New(rand.NewSource(tag)).Read(b)
+	return b
+}
+
+// readSnapFile parses id's two-region file or fails the test.
+func readSnapFile(t *testing.T, fs *FileStore, id string) snapFile {
+	t.Helper()
+	buf, err := os.ReadFile(fs.path(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, ok := parseSnapFile(buf)
+	if !ok {
+		t.Fatalf("%s is not a two-region file", id)
+	}
+	return sf
+}
+
+// writeAt overwrites bytes of a file in place, as a crash mid-write
+// leaves them.
+func writeAt(t *testing.T, path string, off int, b []byte) {
+	t.Helper()
+	h, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(b, int64(off)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotFileCrashPoints damages the region an in-place save was
+// writing the way a crash would leave it. Load must return the last
+// acknowledged snapshot, the next save must go into the damaged region
+// and leave the good one alone, and Load then returns the new bytes.
+// With both regions damaged, Load refuses with ErrSnapshotCorrupt.
+func TestSnapshotFileCrashPoints(t *testing.T) {
+	const id = "job-1"
+	next := snapPayload(100)
+	img := putRegion(make([]byte, regionHeaderSize+len(next)), 99, next) // a save's region image
+	half := regionHeaderSize + len(next)/2
+	crashes := []struct {
+		name string
+		off  int // within the region
+		b    []byte
+	}{
+		{"torn header", 0, img[:10]},
+		{"torn payload", 0, img[:half]},
+		{"new payload under old header", regionHeaderSize, img[regionHeaderSize:]},
+		{"new header over old payload", 0, img[:regionHeaderSize]},
+		{"zeroed first page", 0, make([]byte, snapPage)},
+		{"zeroed second page", snapPage, make([]byte, snapPage)},
+	}
+	// setUp saves until the region after the newest is target and
+	// returns the acknowledged bytes and their generation.
+	setUp := func(t *testing.T, target int) (*FileStore, []byte, uint64) {
+		fs, err := NewFileStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acked []byte
+		for i := 0; i < 2+target; i++ {
+			acked = snapPayload(int64(i))
+			if err := fs.Save(id, acked); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sf := readSnapFile(t, fs, id)
+		if n := sf.newest(); n != 1-target {
+			t.Fatalf("newest region %d, want %d", n, 1-target)
+		}
+		return fs, acked, sf.gen[1-target]
+	}
+	for target := 0; target < 2; target++ {
+		for _, c := range crashes {
+			t.Run(fmt.Sprintf("region %d/%s", target, c.name), func(t *testing.T) {
+				fs, acked, gen := setUp(t, target)
+				region := readSnapFile(t, fs, id).region
+				writeAt(t, fs.path(id), snapPage+target*region+c.off, c.b)
+				if got, err := fs.Load(id); err != nil || !bytes.Equal(got, acked) {
+					t.Fatalf("load after the crash: %d bytes, err %v; want the acknowledged snapshot", len(got), err)
+				}
+				if err := fs.Save(id, next); err != nil {
+					t.Fatal(err)
+				}
+				sf := readSnapFile(t, fs, id)
+				if sf.gen[target] != gen+1 || !bytes.Equal(sf.payload[target], next) {
+					t.Fatalf("the save did not go into the damaged region: gens %v", sf.gen)
+				}
+				if sf.gen[1-target] != gen || !bytes.Equal(sf.payload[1-target], acked) {
+					t.Fatalf("the save touched the good region: gens %v", sf.gen)
+				}
+				if got, err := fs.Load(id); err != nil || !bytes.Equal(got, next) {
+					t.Fatalf("load after the save: %d bytes, err %v", len(got), err)
+				}
+			})
+		}
+	}
+	t.Run("both regions", func(t *testing.T) {
+		fs, _, _ := setUp(t, 0)
+		region := readSnapFile(t, fs, id).region
+		for r := 0; r < 2; r++ {
+			writeAt(t, fs.path(id), snapPage+r*region+snapPage, make([]byte, snapPage))
+		}
+		if _, err := fs.Load(id); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("load with both regions damaged: %v, want ErrSnapshotCorrupt", err)
+		}
+		if err := fs.Save(id, next); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fs.Load(id); err != nil || !bytes.Equal(got, next) {
+			t.Fatalf("load after the save: %d bytes, err %v", len(got), err)
+		}
+	})
+}
+
+// TestSnapshotFileSavesInPlace: the first save and a snapshot that
+// outgrows its region replace the file; every other save rewrites a
+// region of the same file, which keeps its size.
+func TestSnapshotFileSavesInPlace(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-1"
+	stat := func() os.FileInfo {
+		t.Helper()
+		st, err := os.Stat(fs.path(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if err := fs.Save(id, snapPayload(1)); err != nil {
+		t.Fatal(err)
+	}
+	first := stat()
+	for i := int64(2); i < 6; i++ {
+		if err := fs.Save(id, snapPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		if st := stat(); !os.SameFile(first, st) || st.Size() != first.Size() {
+			t.Fatalf("save %d replaced the file or changed its size (%d → %d bytes)", i, first.Size(), st.Size())
+		}
+	}
+	if gens := readSnapFile(t, fs, id).gen; gens != [2]uint64{5, 4} {
+		t.Fatalf("generations %v after five saves, want [5 4]", gens)
+	}
+	big := bytes.Repeat(snapPayload(6), 3)
+	if err := fs.Save(id, big); err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(first, stat()) {
+		t.Fatal("a snapshot that outgrew its region was written in place")
+	}
+	if sf := readSnapFile(t, fs, id); sf.gen != [2]uint64{6, 0} {
+		t.Fatalf("replacement generations %v, want [6 0]", sf.gen)
+	}
+	if got, err := fs.Load(id); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("load: %d bytes, err %v", len(got), err)
+	}
+	assertNoTemps(t, fs.Dir())
+}
+
+// TestSnapshotFileLastGeneration: a file whose newest region holds the
+// last generation is started over, not given a generation that never
+// verifies.
+func TestSnapshotFileLastGeneration(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(fs.path("job-1"), newSnapFile(math.MaxUint64, []byte(`{"a":1}`)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Save("job-1", []byte(`{"a":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.Load("job-1"); err != nil || string(got) != `{"a":2}` {
+		t.Fatalf("load: %q err %v", got, err)
+	}
+	if gens := readSnapFile(t, fs, "job-1").gen; gens != [2]uint64{1, 0} {
+		t.Fatalf("generations %v, want [1 0]", gens)
+	}
+}
+
+// TestSnapshotFilePlainJSONUpgrade: a plain-JSON `<id>.json` written
+// by an older store loads as it is, and the next save converts it to
+// a two-region file, which is not JSON, so an older binary refuses it.
+func TestSnapshotFilePlainJSONUpgrade(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(`{"version":1,"config":{},"state":{}}`)
+	if err := os.WriteFile(fs.path("job-1"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.Load("job-1"); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("plain JSON loaded as %q, err %v", got, err)
+	}
+	if err := fs.Save("job-1", []byte(`{"a":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(fs.path("job-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if json.Valid(raw) || !bytes.HasPrefix(raw, []byte(snapMagic)) {
+		t.Fatalf("the save left %q… on disk", raw[:16])
+	}
+	if got, err := fs.Load("job-1"); err != nil || string(got) != `{"a":2}` {
+		t.Fatalf("load: %q err %v", got, err)
+	}
+}
+
+// TestFileStoreConcurrentSaves: concurrent saves of one id never pick
+// the same region, so each one takes the next generation.
+func TestFileStoreConcurrentSaves(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id, writers, each = "job-1", 4, 25
+	if err := fs.Save(id, snapPayload(0)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := fs.Save(id, snapPayload(int64(1+w*each+i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sf := readSnapFile(t, fs, id)
+	n := sf.newest()
+	if want := uint64(1 + writers*each); sf.gen[n] != want || sf.gen[1-n] != want-1 {
+		t.Fatalf("generations %v after %d saves: saves raced", sf.gen, want)
+	}
+	if got, err := fs.Load(id); err != nil || !bytes.Equal(got, sf.payload[n]) {
+		t.Fatalf("load: %d bytes, err %v", len(got), err)
+	}
+}
+
+// TestFileStoreSaveLocksBounded: the per-id save locks do not outlive
+// the saves that took them, so saving and deleting many jobs leaves
+// none behind.
+func TestFileStoreSaveLocksBounded(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ids, workers = 10000, 4
+	data := []byte(`{}`)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < ids; i += workers {
+				id := "job-" + strconv.Itoa(i)
+				if err := fs.Save(id, data); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := fs.Delete(id); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	fs.saving.mu.Lock()
+	defer fs.saving.mu.Unlock()
+	if n := len(fs.saving.m); n != 0 {
+		t.Fatalf("%d save locks left after saving and deleting %d ids", n, ids)
 	}
 }
