@@ -13,31 +13,51 @@ import (
 // Stackelberg game, collection, settlement, estimator updates, and
 // observer dispatch — performs zero heap allocations. (The ledger
 // keeps no journal: its record buffer for the digest is sized on the
-// first settlement and reused.)
+// first settlement and reused.) Under delivery failures the round is
+// also re-priced with the failed sellers' sensing time zeroed, on the
+// same pooled buffers.
 func TestAdvanceSteadyStateAllocFree(t *testing.T) {
-	cfg, _ := testConfig(t, 300, 10, 1<<30, 3, 9)
-	var observed int
-	cfg.Observer = func(ev *RoundEvent) { observed = ev.Round }
-	m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	// Warm every pool: round 1 explores the full population and the
-	// following rounds size the steady-state buffers.
-	if _, _, err := m.AdvanceN(ctx, 50, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := m.AdvanceN(ctx, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state advance allocates %v times per round, want 0", allocs)
-	}
-	if observed != m.Round()-1 {
-		t.Fatalf("observer saw round %d, mechanism at %d", observed, m.Round())
+	for _, tc := range []struct {
+		name         string
+		deliveryRate float64
+	}{
+		{"m300-k10", 0},
+		{"m300-k10-delivery70", 0.7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, _ := testConfig(t, 300, 10, 1<<30, 3, 9)
+			cfg.Market.DeliveryRate = tc.deliveryRate
+			cfg.Market.DeliverySeed = 4
+			var observed, failed int
+			cfg.Observer = func(ev *RoundEvent) {
+				observed = ev.Round
+				failed += len(ev.Failed)
+			}
+			m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			// Warm every pool: round 1 explores the full population and
+			// the following rounds size the steady-state buffers.
+			if _, _, err := m.AdvanceN(ctx, 50, nil); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, _, err := m.AdvanceN(ctx, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state advance allocates %v times per round, want 0", allocs)
+			}
+			if observed != m.Round()-1 {
+				t.Fatalf("observer saw round %d, mechanism at %d", observed, m.Round())
+			}
+			if (failed > 0) != (tc.deliveryRate > 0) {
+				t.Fatalf("%d failed deliveries at delivery rate %v", failed, tc.deliveryRate)
+			}
+		})
 	}
 }
 
