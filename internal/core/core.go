@@ -303,7 +303,7 @@ type Mechanism struct {
 	evt        RoundEvent
 	means      []float64 // estimate snapshot handed to the market
 	delivered  []int     // sellers that delivered this round
-	tauScratch []float64 // re-priced sensing times on delivery failures
+	tauScratch []float64 // sensing times, failed sellers' zeroed by collect
 
 	// Churn schedule: departure rounds are fixed at construction, so
 	// round advances pop from this sorted list instead of scanning all
@@ -491,28 +491,15 @@ func (m *Mechanism) exploreRound() (*RoundRecord, error) {
 	pJ := m.cfg.Market.PJBounds.Clamp(price + m.cfg.Market.Platform.Theta*total + m.cfg.Market.Platform.Lambda)
 
 	m.obsUCB = nil // no estimates exist before the first round
-	m.obsFailed = m.obsFailed[:0]
-	obs := m.mkt.Collect(1, all)
-	var roundRealized float64
-	delivered := make([]int, 0, len(all))
-	taus := make([]float64, len(all))
-	for j, i := range all {
-		if obs[j] == nil {
-			m.obsFailed = append(m.obsFailed, i)
-			continue // transient delivery failure: no data, no pay
-		}
-		taus[j] = tau0
-		delivered = append(delivered, i)
-		m.arms.Update(i, obs[j])
-		if m.feedback != nil {
-			m.feedback.ObserveRound(1, i, obs[j])
-		}
-		roundRealized += numutil.SumSlice(obs[j])
+	m.tauScratch = m.tauScratch[:0]
+	for range all {
+		m.tauScratch = append(m.tauScratch, tau0)
 	}
+	roundRealized := m.collect(1, all, m.tauScratch)
 	// Profits are accounted post-hoc against the just-learned
 	// estimates (the mechanism knows nothing before this round).
 	params := m.mkt.GameParams(all, m.arms.Means(), m.cfg.minQ())
-	out := params.Evaluate(pJ, price, taus)
+	out := params.Evaluate(pJ, price, m.tauScratch)
 	if err := m.mkt.Settle(1, all, out); err != nil {
 		return nil, fmt.Errorf("core: initial settle: %w", err)
 	}
@@ -529,11 +516,39 @@ func (m *Mechanism) exploreRound() (*RoundRecord, error) {
 		Realized:      roundRealized,
 		AggRMSE:       math.NaN(),
 	}
-	if reports := m.mkt.CollectReadings(1, delivered, m.arms.Means()); reports != nil {
+	if reports := m.mkt.CollectReadings(1, m.delivered, m.arms.Means()); reports != nil {
 		rec.AggRMSE = aggregate.RMSE(reports)
 	}
 	m.spend.Add(pJ * out.TotalTau)
 	return rec, nil
+}
+
+// collect draws each selected seller's round-t observations in turn
+// and folds the delivered row into the estimator, the feedback policy
+// and the round's realized quality before the next seller's draw, so
+// the market lends one L-row however many sellers a round serves. It
+// fills m.delivered and m.obsFailed, zeroes taus[j] for every seller
+// whose data does not arrive (no data, no pay, no cost), and returns
+// the round's realized quality: the sum of the delivered rows.
+func (m *Mechanism) collect(t int, selected []int, taus []float64) float64 {
+	m.delivered = m.delivered[:0]
+	m.obsFailed = m.obsFailed[:0]
+	var realized float64
+	for j, i := range selected {
+		row := m.mkt.Collect(t, i)
+		if row == nil {
+			m.obsFailed = append(m.obsFailed, i)
+			taus[j] = 0
+			continue
+		}
+		m.delivered = append(m.delivered, i)
+		m.arms.Update(i, row)
+		if m.feedback != nil {
+			m.feedback.ObserveRound(t, i, row)
+		}
+		realized += numutil.SumSlice(row)
+	}
+	return realized
 }
 
 // snapshotUCB fills obsUCB with the Eq. 19 indices this round's
@@ -594,34 +609,12 @@ func (m *Mechanism) gameRound(t int) (*RoundRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: round %d game: %w", t, err)
 	}
-	m.obsFailed = m.obsFailed[:0]
-	obs := m.mkt.CollectInto(t, selected)
-	var roundRealized float64
-	m.delivered = m.delivered[:0]
-	anyFailed := false
-	for j, i := range selected {
-		if obs[j] == nil {
-			anyFailed = true
-			m.obsFailed = append(m.obsFailed, i)
-			continue // transient delivery failure: no data, no pay
-		}
-		m.delivered = append(m.delivered, i)
-		m.arms.Update(i, obs[j])
-		if m.feedback != nil {
-			m.feedback.ObserveRound(t, i, obs[j])
-		}
-		roundRealized += numutil.SumSlice(obs[j])
-	}
-	if anyFailed {
+	m.tauScratch = append(m.tauScratch[:0], out.Taus...)
+	roundRealized := m.collect(t, selected, m.tauScratch)
+	if len(m.obsFailed) > 0 {
 		// Re-price the round at the agreed prices with the failed
 		// sellers' sensing time zeroed: they deliver nothing, are
 		// paid nothing, and incur no cost.
-		m.tauScratch = append(m.tauScratch[:0], out.Taus...)
-		for j := range selected {
-			if obs[j] == nil {
-				m.tauScratch[j] = 0
-			}
-		}
 		noTrade := out.NoTrade
 		out = params.EvaluateInto(out, out.PJ, out.P, m.tauScratch)
 		out.NoTrade = noTrade

@@ -176,9 +176,8 @@ type Market struct {
 	inj      *faults.Injector // nil when nothing is injected
 	delivery *rng.Source      // the legacy i.i.d. delivery stream, nil unless DeliveryRate < 1
 
-	// Hot-path scratch, reused across rounds (see CollectInto/Settle).
-	obsRows   [][]float64
-	obsArena  []float64
+	// Hot-path scratch, reused across calls (see Collect/Settle).
+	obs       []float64
 	settleIDs []int
 	settlePay []float64
 }
@@ -351,56 +350,28 @@ func (m *Market) GameParamsInto(p *game.Params, selected []int, estimates []floa
 	return p
 }
 
-// Collect runs the data collection of round t: every selected seller
-// senses at all L PoIs, producing L quality observations each
-// (Definition 3). The returned slice is indexed like selected. A
-// seller whose data does not arrive — delivery failure (i.i.d. or
-// Gilbert–Elliott channel) or a straggler missing the round deadline
-// — has a nil row: no data, no pay, no cost. Byzantine sellers'
+// Collect runs seller i's data collection of round t: it senses at
+// all L PoIs, producing L quality observations (Definition 3). It
+// returns nil when the seller's data does not arrive — delivery
+// failure (i.i.d. or Gilbert–Elliott channel) or a straggler missing
+// the round deadline: no data, no pay, no cost. Byzantine sellers'
 // observations pass through the corruption model, so the mechanism
-// learns from what was REPORTED, not what was sensed.
-func (m *Market) Collect(round int, selected []int) [][]float64 {
-	obs := make([][]float64, len(selected))
-	for j, i := range selected {
-		if !m.inj.Delivers(round, i, m.cfg.Job.T) {
-			continue // failure or missed deadline: nil row
-		}
-		row := make([]float64, m.cfg.Job.L)
-		for l := range row {
-			row[l] = m.inj.Corrupt(i, l, round, m.cfg.Quality.Observe(i, l, round))
-		}
-		obs[j] = row
+// learns from what was REPORTED, not what was sensed. The row is
+// BORROWED: the market owns it and the next Collect call overwrites
+// it, so collection allocates once per market.
+func (m *Market) Collect(round, i int) []float64 {
+	if !m.inj.Delivers(round, i, m.cfg.Job.T) {
+		return nil
 	}
-	return obs
-}
-
-// CollectInto is Collect backed by market-owned scratch: rows live in
-// one arena reused across rounds, so a steady-state collection makes
-// zero heap allocations. The returned slice and its rows are BORROWED
-// — valid only until the next CollectInto call — and draw the exact
-// same random observations as Collect would.
-func (m *Market) CollectInto(round int, selected []int) [][]float64 {
-	n, l := len(selected), m.cfg.Job.L
-	if cap(m.obsRows) < n {
-		m.obsRows = make([][]float64, n)
+	if m.obs == nil {
+		// Sized on first use, not in New: a market is built from a
+		// resumed snapshot before any caller has checked its L.
+		m.obs = make([]float64, m.cfg.Job.L)
 	}
-	m.obsRows = m.obsRows[:n]
-	if cap(m.obsArena) < n*l {
-		m.obsArena = make([]float64, n*l)
+	for l := range m.obs {
+		m.obs[l] = m.inj.Corrupt(i, l, round, m.cfg.Quality.Observe(i, l, round))
 	}
-	arena := m.obsArena[:n*l]
-	for j, i := range selected {
-		m.obsRows[j] = nil
-		if !m.inj.Delivers(round, i, m.cfg.Job.T) {
-			continue // failure or missed deadline: nil row
-		}
-		row := arena[j*l : (j+1)*l : (j+1)*l]
-		for p := range row {
-			row[p] = m.inj.Corrupt(i, p, round, m.cfg.Quality.Observe(i, p, round))
-		}
-		m.obsRows[j] = row
-	}
-	return m.obsRows
+	return m.obs
 }
 
 // CollectReadings produces the raw-data readings of a round when the

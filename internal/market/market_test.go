@@ -114,11 +114,8 @@ func TestCollectShapeAndRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := mkt.Collect(1, []int{0, 2})
-	if len(obs) != 2 {
-		t.Fatalf("rows = %d", len(obs))
-	}
-	for _, row := range obs {
+	for _, i := range []int{0, 2} {
+		row := mkt.Collect(1, i)
 		if len(row) != 4 { // L PoIs
 			t.Fatalf("cols = %d", len(row))
 		}
@@ -138,11 +135,9 @@ func TestCollectStatistics(t *testing.T) {
 	var sum float64
 	n := 0
 	for round := 0; round < 5000; round++ {
-		for _, row := range mkt.Collect(round, []int{1}) {
-			for _, q := range row {
-				sum += q
-				n++
-			}
+		for _, q := range mkt.Collect(round, 1) {
+			sum += q
+			n++
 		}
 	}
 	if mean := sum / float64(n); math.Abs(mean-0.6) > 0.01 {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,5 +190,50 @@ func TestAdvanceAllocsPerRound(t *testing.T) {
 	t.Logf("allocs: %.0f per 25-round advance, %.0f per 50-round advance, %.2f per round", a25, a50, perRound)
 	if perRound > 5 {
 		t.Fatalf("a broker advance allocates %.2f times per round, want <= 5", perRound)
+	}
+}
+
+// TestWideJobHeapBounded pins a job's working set at O(M + L): a job
+// with K = M = 500 sellers and L = 10 000 PoIs, created and advanced two
+// rounds through the real handler, keeps and allocates only what its
+// sellers and one L-row of observations need, never a K×L (or, in the
+// exploration round, M×L) block of them. The live heap is read after a
+// full GC with the server and its job still reachable. The test does
+// not run in parallel: another test's allocations would count.
+func TestWideJobHeapBounded(t *testing.T) {
+	const maxLive, maxAlloc = 4 << 20, 16 << 20
+	lg, err := tracing.NewLogger(io.Discard, "text", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	s.Logger = lg
+	h := s.Handler()
+	serve := func(path string, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var st JobStatus
+	if err := json.Unmarshal(serve("/v1/jobs", []byte(`{"random_sellers":500,"k":500,"pois":10000,"rounds":10}`)), &st); err != nil {
+		t.Fatal(err)
+	}
+	serve("/v1/jobs/"+st.ID+"/advance", []byte(`{"rounds":2}`))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("job of 500 sellers × 10000 pois after 2 rounds: %+.1f MB live, %.1f MB allocated",
+		float64(live)/(1<<20), float64(alloc)/(1<<20))
+	if live > maxLive || alloc > maxAlloc {
+		t.Fatalf("live heap grew %d bytes (limit %d) and %d bytes were allocated (limit %d)",
+			live, maxLive, alloc, maxAlloc)
 	}
 }

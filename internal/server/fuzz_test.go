@@ -175,7 +175,9 @@ func FuzzLoadLease(f *testing.F) {
 // request decoding, JobRequest.config and cmabhs.NewSession, as
 // handleCreateJob runs them. It must never panic, and it either
 // refuses the request or builds a session no larger than maxMarket
-// sellers and PoIs, so no wire value sizes an allocation unbounded.
+// sellers and PoIs, and no larger than maxCollectData sellers × PoIs
+// with the data layer on, so no wire value sizes an allocation
+// unbounded.
 func FuzzJobRequestConfig(f *testing.F) {
 	for _, seed := range []string{
 		`{"random_sellers":6,"k":2,"rounds":20,"seed":1}`,
@@ -187,6 +189,7 @@ func FuzzJobRequestConfig(f *testing.F) {
 			`"byzantine":{"sellers":[-1,99],"mode":"random","inflation":2},"straggler":{"prob":1,"deadline":-1}}}`,
 		`{"random_sellers":5,"k":9,"rounds":1,"theta":1e-300,"omega":1,"pj_max":-1}`,
 		`{"sellers":[],"k":0}`, `null`, `[]`, `{`,
+		`{"random_sellers":10000,"k":3,"pois":11,"rounds":1,"collect_data":true}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -205,6 +208,9 @@ func FuzzJobRequestConfig(f *testing.F) {
 		}
 		if c := sess.Config(); len(c.Sellers) > maxMarket || c.PoIs > maxMarket {
 			t.Fatalf("built a session with %d sellers and %d pois, limit %d", len(c.Sellers), c.PoIs, maxMarket)
+		}
+		if c := sess.Config(); c.CollectData && len(c.Sellers)*c.PoIs > maxCollectData {
+			t.Fatalf("built a collect_data session with %d sellers × %d pois, limit %d", len(c.Sellers), c.PoIs, maxCollectData)
 		}
 	})
 }

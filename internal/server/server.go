@@ -109,16 +109,28 @@ type SellerSpec struct {
 }
 
 // maxMarket bounds a job's market size: its seller count M and its
-// PoI count L. The broker allocates per seller, and every round an
-// L-float row per selected seller, so a few bytes of unbounded wire
-// value could make it allocate without limit. 10 000 is over 30× the
-// paper's M = 300 and 1000× its L = 10.
+// PoI count L. The broker allocates per seller, and a round collects
+// one L-float row at a time into a single reused buffer, so a
+// mechanism-only job holds O(M + L) however its K and rounds are set;
+// bounding each dimension bounds it. 10 000 is over 30× the paper's
+// M = 300 and 1000× its L = 10.
 const maxMarket = 10_000
 
-// checkMarket refuses a market larger than maxMarket.
-func checkMarket(sellers, pois int) error {
+// maxCollectData bounds sellers × PoIs for a collect_data job. The
+// raw-data layer keeps every reading of a round for aggregation (the
+// median and trimmed mean need all of a PoI's readings), and round 1
+// reads all M sellers, so that round holds M·L readings. 100 000 is
+// over 30× the paper's 300 × 10.
+const maxCollectData = 100_000
+
+// checkMarket refuses a market larger than maxMarket, or a
+// collect_data market past maxCollectData readings per round.
+func checkMarket(sellers, pois int, collectData bool) error {
 	if sellers > maxMarket || pois > maxMarket {
 		return fmt.Errorf("market too large: %d sellers and %d pois, limit %d each", sellers, pois, maxMarket)
+	}
+	if collectData && sellers*pois > maxCollectData {
+		return fmt.Errorf("market too large for collect_data: %d sellers × %d pois, limit %d", sellers, pois, maxCollectData)
 	}
 	return nil
 }
@@ -126,7 +138,7 @@ func checkMarket(sellers, pois int) error {
 // config converts the wire request to a library configuration.
 func (r *JobRequest) config() (cmabhs.Config, error) {
 	var cfg cmabhs.Config
-	if err := checkMarket(max(len(r.Sellers), r.RandomSellers), r.PoIs); err != nil {
+	if err := checkMarket(max(len(r.Sellers), r.RandomSellers), r.PoIs, r.CollectData); err != nil {
 		return cfg, err
 	}
 	switch {
@@ -875,7 +887,8 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		var err error
 		sess, err = cmabhs.ResumeSession(req.Snapshot)
 		if err == nil {
-			err = checkMarket(len(sess.Config().Sellers), sess.Config().PoIs)
+			c := sess.Config()
+			err = checkMarket(len(c.Sellers), c.PoIs, c.CollectData)
 		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)

@@ -531,14 +531,14 @@ func TestWireNumbersFinite(t *testing.T) {
 // the envelope (economics.MinParam/MaxParam) are refused at entry with
 // 400 invalid_request — on create, on resume from an edited snapshot,
 // and on a stateless solve — and that no refused create leaves a job.
-// A market past maxMarket sellers or PoIs is refused the same way,
-// before anything is sized by it, while one exactly at the bound is
-// accepted.
+// A market past maxMarket sellers or PoIs, or a collect_data market
+// past maxCollectData sellers × PoIs, is refused the same way, before
+// anything is sized by it, while one exactly at the bound is accepted.
 func TestOutOfRangeEconomicsRefused(t *testing.T) {
 	ts := newTestServer(t)
 	var donor JobStatus
 	if code := do(t, ts, http.MethodPost, "/v1/jobs",
-		JobRequest{RandomSellers: 6, K: 2, Rounds: 20, Seed: 1}, &donor); code != http.StatusCreated {
+		JobRequest{RandomSellers: 20, K: 2, Rounds: 20, Seed: 1, CollectData: true}, &donor); code != http.StatusCreated {
 		t.Fatalf("donor create: %d", code)
 	}
 	var snap SnapshotResponse
@@ -569,6 +569,14 @@ func TestOutOfRangeEconomicsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 20 sellers × 10 000 PoIs: each dimension within maxMarket, the
+	// product past maxCollectData.
+	dataOver, err := json.Marshal(map[string]json.RawMessage{
+		"snapshot": poisRe.ReplaceAll(snap.Snapshot, []byte(`"PoIs":10000`)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	manySellers := `{"k":1,"rounds":1,"sellers":[` +
 		strings.Repeat(`{"a":0.2,"b":0.1,"q":0.5},`, maxMarket) + `{"a":0.2,"b":0.1,"q":0.5}]}`
 
@@ -587,6 +595,8 @@ func TestOutOfRangeEconomicsRefused(t *testing.T) {
 		{"create sellers over", "/v1/jobs", manySellers},
 		{"create pois huge", "/v1/jobs", job + `"pois":2000000000}`},
 		{"resume pois huge", "/v1/jobs", string(hugeL)},
+		{"create collect_data over", "/v1/jobs", `{"random_sellers":1000,"pois":101,"collect_data":true,"k":1,"rounds":1}`},
+		{"resume collect_data over", "/v1/jobs", string(dataOver)},
 		{"solve omega", "/v1/game/solve", solve + `"omega":1e308}`},
 		{"solve lambda", "/v1/game/solve", solve + `"lambda":1e308}`},
 	} {
@@ -605,6 +615,10 @@ func TestOutOfRangeEconomicsRefused(t *testing.T) {
 			t.Errorf("%s: status %d, envelope %+v (%v), want 400 invalid_request",
 				tc.name, resp.StatusCode, out.Error, derr)
 		}
+		tooLarge := strings.HasSuffix(tc.name, " over") || strings.HasSuffix(tc.name, " huge")
+		if tooLarge && !strings.HasPrefix(out.Error.Message, "market too large") {
+			t.Errorf("%s: refused as %q, want the market bound", tc.name, out.Error.Message)
+		}
 	}
 	var list []JobStatus
 	if code := do(t, ts, http.MethodGet, "/v1/jobs", nil, &list); code != http.StatusOK || len(list) != 0 {
@@ -615,5 +629,9 @@ func TestOutOfRangeEconomicsRefused(t *testing.T) {
 	if code := do(t, ts, http.MethodPost, "/v1/jobs",
 		JobRequest{RandomSellers: maxMarket, PoIs: maxMarket, K: 1, Rounds: 1}, &edge); code != http.StatusCreated || edge.Sellers != maxMarket {
 		t.Fatalf("create at the bound: status %d, %d sellers", code, edge.Sellers)
+	}
+	if code := do(t, ts, http.MethodPost, "/v1/jobs",
+		JobRequest{RandomSellers: 1000, PoIs: 100, CollectData: true, K: 1, Rounds: 1}, &edge); code != http.StatusCreated || edge.Sellers != 1000 {
+		t.Fatalf("collect_data create at the bound: status %d, %d sellers", code, edge.Sellers)
 	}
 }
