@@ -42,18 +42,23 @@ func (*UCBGreedy) Name() string { return "CMAB-HS" }
 // SelectK implements Policy. The returned slice is valid until the
 // next SelectK call on this policy.
 func (p *UCBGreedy) SelectK(round int, arms *Arms, k int) []int {
-	m := arms.M()
-	if cap(p.scores) < m {
-		p.scores = make([]float64, m)
-	}
-	p.scores = p.scores[:m]
-	scores := p.scores
+	scores := scratch(&p.scores, arms.M())
 	factor := arms.UCBFactor(k)
 	for i := range scores {
 		scores[i] = arms.UCBAt(i, factor)
 	}
 	p.sel = TopKInto(p.sel, scores, k)
 	return p.sel
+}
+
+// scratch returns *buf resized to n, reallocated only when it is too
+// small.
+func scratch(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Scores returns the Eq. 19 index of every arm as the last SelectK
@@ -100,10 +105,7 @@ func (o *Oracle) SelectK(round int, arms *Arms, k int) []int {
 	if arms.ActiveCount() < arms.M() {
 		// Churn: re-rank among the surviving sellers each round,
 		// masking departures into a reused scratch score vector.
-		if cap(o.scores) < len(o.expected) {
-			o.scores = make([]float64, len(o.expected))
-		}
-		scores := o.scores[:len(o.expected)]
+		scores := scratch(&o.scores, len(o.expected))
 		copy(scores, o.expected)
 		for i := range scores {
 			if !arms.Active(i) {

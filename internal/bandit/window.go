@@ -38,6 +38,9 @@ type SlidingWindowUCB struct {
 	count []int64   // in-window count per arm
 	sum   []float64 // in-window sum per arm
 	total int64     // in-window count across arms
+
+	scores []float64 // SelectK's scratch, reused across rounds
+	sel    []int     // selection returned by the last SelectK
 }
 
 // NewSlidingWindowUCB builds the policy with the given window length.
@@ -76,7 +79,9 @@ func (p *SlidingWindowUCB) grow(n int) {
 	}
 }
 
-// evict drops batches older than the window relative to round.
+// evict drops batches older than the window relative to round,
+// moving each arm's survivors to the front of its list so the list's
+// capacity is kept for the rounds to come.
 func (p *SlidingWindowUCB) evict(round int) {
 	cutoff := round - p.Window
 	for i := range p.arms {
@@ -89,12 +94,13 @@ func (p *SlidingWindowUCB) evict(round int) {
 			drop++
 		}
 		if drop > 0 {
-			p.arms[i] = p.arms[i][drop:]
+			p.arms[i] = p.arms[i][:copy(p.arms[i], p.arms[i][drop:])]
 		}
 	}
 }
 
-// SelectK implements Policy.
+// SelectK implements Policy. The returned slice is valid until the
+// next SelectK call on this policy.
 func (p *SlidingWindowUCB) SelectK(round int, arms *Arms, k int) []int {
 	p.grow(arms.M())
 	p.evict(round)
@@ -102,7 +108,7 @@ func (p *SlidingWindowUCB) SelectK(round int, arms *Arms, k int) []int {
 	if p.total > 1 {
 		logTotal = math.Log(float64(p.total))
 	}
-	scores := make([]float64, arms.M())
+	scores := scratch(&p.scores, arms.M())
 	for i := range scores {
 		switch {
 		case !arms.Active(i):
@@ -114,7 +120,8 @@ func (p *SlidingWindowUCB) SelectK(round int, arms *Arms, k int) []int {
 			scores[i] = p.sum[i]/n + math.Sqrt(float64(k+1)*logTotal/n)
 		}
 	}
-	return TopK(scores, k)
+	p.sel = TopKInto(p.sel, scores, k)
+	return p.sel
 }
 
 // BatchState is one round's observations of one arm on the wire.
@@ -197,6 +204,9 @@ type DiscountedUCB struct {
 	count []float64 // discounted count per arm, valid at `asOf`
 	sum   []float64 // discounted observation sum per arm
 	asOf  []int     // round the aggregates are discounted to
+
+	scores []float64 // SelectK's scratch, reused across rounds
+	sel    []int     // selection returned by the last SelectK
 }
 
 // NewDiscountedUCB builds the policy with the given discount factor.
@@ -241,7 +251,8 @@ func (p *DiscountedUCB) ObserveRound(round, seller int, obs []float64) {
 	p.count[seller] += float64(len(obs))
 }
 
-// SelectK implements Policy.
+// SelectK implements Policy. The returned slice is valid until the
+// next SelectK call on this policy.
 func (p *DiscountedUCB) SelectK(round int, arms *Arms, k int) []int {
 	p.grow(arms.M())
 	var total float64
@@ -253,7 +264,7 @@ func (p *DiscountedUCB) SelectK(round int, arms *Arms, k int) []int {
 	if total > 1 {
 		logTotal = math.Log(total)
 	}
-	scores := make([]float64, arms.M())
+	scores := scratch(&p.scores, arms.M())
 	for i := range scores {
 		switch {
 		case !arms.Active(i):
@@ -264,7 +275,8 @@ func (p *DiscountedUCB) SelectK(round int, arms *Arms, k int) []int {
 			scores[i] = p.sum[i]/p.count[i] + math.Sqrt(float64(k+1)*logTotal/p.count[i])
 		}
 	}
-	return TopK(scores, k)
+	p.sel = TopKInto(p.sel, scores, k)
+	return p.sel
 }
 
 // DiscountedState is the serializable state of a DiscountedUCB.

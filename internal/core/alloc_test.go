@@ -15,14 +15,19 @@ import (
 // keeps no journal: its record buffer for the digest is sized on the
 // first settlement and reused.) Under delivery failures the round is
 // also re-priced with the failed sellers' sensing time zeroed, on the
-// same pooled buffers.
+// same pooled buffers. The forgetting policies hold to it too: SW-UCB
+// and D-UCB score into reused buffers, and SW-UCB's window keeps each
+// arm's batch list in place as it evicts.
 func TestAdvanceSteadyStateAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		deliveryRate float64
+		policy       func() bandit.Policy
 	}{
-		{"m300-k10", 0},
-		{"m300-k10-delivery70", 0.7},
+		{"m300-k10", 0, func() bandit.Policy { return &bandit.UCBGreedy{} }},
+		{"m300-k10-delivery70", 0.7, func() bandit.Policy { return &bandit.UCBGreedy{} }},
+		{"m300-k10-sw-ucb50", 0, func() bandit.Policy { return bandit.NewSlidingWindowUCB(50) }},
+		{"m300-k10-d-ucb", 0, func() bandit.Policy { return bandit.NewDiscountedUCB(0.998) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, _ := testConfig(t, 300, 10, 1<<30, 3, 9)
@@ -33,7 +38,7 @@ func TestAdvanceSteadyStateAllocFree(t *testing.T) {
 				observed = ev.Round
 				failed += len(ev.Failed)
 			}
-			m, err := NewMechanism(cfg, &bandit.UCBGreedy{})
+			m, err := NewMechanism(cfg, tc.policy())
 			if err != nil {
 				t.Fatal(err)
 			}

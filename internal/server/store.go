@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -159,14 +161,12 @@ func (f *FileStore) saveInPlace(id string, data []byte) (gen uint64, done bool, 
 		return 1, false, nil
 	}
 	defer h.Close()
-	st, err := h.Stat()
+	bp, err := readFileBuf(h)
 	if err != nil {
 		return 1, false, nil
 	}
-	buf := make([]byte, st.Size())
-	if _, err := h.ReadAt(buf, 0); err != nil {
-		return 1, false, nil
-	}
+	defer fileBufs.Put(bp)
+	buf := *bp
 	sf, ok := parseSnapFile(buf)
 	if !ok {
 		return 1, false, nil
@@ -250,20 +250,56 @@ func syncDir(dir string) error {
 	return errors.Join(serr, cerr)
 }
 
+// fileBufs pools the whole-file read buffers of Load and saveInPlace,
+// so a load allocates only the payload it returns and an in-place save
+// nothing for its read.
+var fileBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readFileBuf reads h whole into a buffer from fileBufs, which the
+// caller returns there once nothing references the bytes. A file that
+// shrinks under the read yields what was read.
+func readFileBuf(h *os.File) (*[]byte, error) {
+	st, err := h.Stat()
+	if err != nil {
+		return nil, err
+	}
+	bp := fileBufs.Get().(*[]byte)
+	if size := int(st.Size()); cap(*bp) < size {
+		*bp = make([]byte, size)
+	} else {
+		*bp = (*bp)[:size]
+	}
+	n, err := h.ReadAt(*bp, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		fileBufs.Put(bp)
+		return nil, err
+	}
+	*bp = (*bp)[:n]
+	return bp, nil
+}
+
 // Load implements Store with one read of `<id>.json`: the newest
 // region of a two-region file that verifies, or a plain-JSON file
 // (one that starts with `{`, as older stores wrote) as it is. Anything
-// else is ErrSnapshotCorrupt.
+// else is ErrSnapshotCorrupt. The file is read into a pooled buffer
+// and the snapshot copied out, so the result holds the payload alone.
 func (f *FileStore) Load(id string) ([]byte, error) {
 	if err := checkID(id); err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(f.path(id))
+	h, err := os.Open(f.path(id))
 	if err != nil {
 		return nil, fmt.Errorf("server: load %s: %w", id, err)
 	}
+	defer h.Close()
+	bp, err := readFileBuf(h)
+	if err != nil {
+		return nil, fmt.Errorf("server: load %s: %w", id, err)
+	}
+	defer fileBufs.Put(bp)
+	data := *bp
 	if len(data) > 0 && data[0] == '{' {
-		return data, nil
+		return bytes.Clone(data), nil
 	}
 	sf, ok := parseSnapFile(data)
 	if !ok {
@@ -273,7 +309,7 @@ func (f *FileStore) Load(id string) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: %s: no region verifies", ErrSnapshotCorrupt, id)
 	}
-	return sf.payload[n], nil
+	return bytes.Clone(sf.payload[n]), nil
 }
 
 // Delete implements Store. The removal is fsynced for the same

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -692,6 +693,60 @@ func TestSnapshotFileSavesInPlace(t *testing.T) {
 		t.Fatalf("load: %d bytes, err %v", len(got), err)
 	}
 	assertNoTemps(t, fs.Dir())
+}
+
+// TestFileStoreLoadAllocs pins Load's allocations at the payload it
+// returns plus a small constant (the file handle, its path and stat),
+// for a two-region file and a plain-JSON one: the file is read into a
+// pooled buffer, so a load never allocates the whole 4096 + 2R-byte
+// file for a 6 KB snapshot, and its result holds only the payload. Not
+// parallel: another test's allocations would count.
+func TestFileStoreLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops distort allocation counts")
+	}
+	const slack = 1024
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := snapPayload(1)
+	// Two saves fill both regions of job-1's file; legacy is a plain-
+	// JSON snapshot as older stores wrote it.
+	for i := 0; i < 2; i++ {
+		if err := fs.Save("job-1", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := append([]byte(`{"v":"`), bytes.Repeat([]byte("x"), len(data))...)
+	plain = append(plain, `"}`...)
+	if err := os.WriteFile(filepath.Join(fs.Dir(), "legacy.json"), plain, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id   string
+		want []byte
+	}{{"job-1", data}, {"legacy", plain}} {
+		load := func() {
+			got, err := fs.Load(tc.id)
+			if err != nil || !bytes.Equal(got, tc.want) {
+				t.Fatalf("load %s: %d bytes, err %v", tc.id, len(got), err)
+			}
+		}
+		load() // fill the pool
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			load()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("load %s: %d bytes allocated per call for a %d-byte snapshot", tc.id, per, len(tc.want))
+		if per > uint64(len(tc.want))+slack {
+			t.Fatalf("load %s allocates %d bytes per call, want at most %d + %d", tc.id, per, len(tc.want), slack)
+		}
+	}
 }
 
 // TestSnapshotFileLastGeneration: a file whose newest region holds the

@@ -14,10 +14,14 @@ import (
 // than by reflective encoding/json. The bytes are exactly
 // json.Marshal's (FuzzStatusBody holds them to it):
 //
-//   - A float64 is strconv's shortest 'f' form, or its 'e' form when
-//     the value is nonzero and |x| < 1e-6 or |x| ≥ 1e21, with a
-//     one-digit negative exponent unpadded (e-7, not e-07). NaN and
-//     ±Inf are an encode error, the same *json.UnsupportedValueError.
+//   - A float64 is written by appendFloat's Schubfach kernel
+//     (ftoa.go): the shortest digits that read back as the same
+//     float64, which are the ones strconv's shortest mode picks, in
+//     'f' form, or in 'e' form when the value is nonzero and |x| < 1e-6
+//     or |x| ≥ 1e21, with a one-digit negative exponent unpadded (e-7,
+//     not e-07). Its oracle is json.Marshal(float64):
+//     TestAppendFloatMatchesMarshal and FuzzAppendFloat. NaN and ±Inf
+//     are an encode error, the same *json.UnsupportedValueError.
 //   - A string of printable ASCII that needs no escaping is copied
 //     between quotes; anything else (quotes, backslash, <>&, control
 //     characters, non-ASCII, invalid UTF-8) is handed to encoding/json.
@@ -384,17 +388,3 @@ func (w *jsonw) fail(x float64) {
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// appendFloat appends finite x as encoding/json writes a float64.
-func appendFloat(b []byte, x float64) []byte {
-	abs := math.Abs(x)
-	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
-		return strconv.AppendFloat(b, x, 'f', -1, 64)
-	}
-	b = strconv.AppendFloat(b, x, 'e', -1, 64)
-	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}

@@ -6,9 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/big"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -418,5 +421,157 @@ func TestStatusCacheConcurrent(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil))
 	if got := rec.Body.Bytes(); !bytes.Equal(got, append(want, '\n')) {
 		t.Fatalf("final get:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// floatCases are the edge inputs appendFloat is held to json.Marshal
+// on: every power of two from 2^-1074 to 2^1023 and every power of ten
+// from 1e-324 to 1e308, each with its neighbours one ulp away; the
+// subnormals with significands below 2^12; the integers around 2^53;
+// the format thresholds 1e-6 and 1e21 with their neighbours; and ±0,
+// ±MaxFloat64. A neighbour past MaxFloat64 is +Inf, which the caller
+// skips.
+func floatCases() []float64 {
+	var xs []float64
+	near := func(x float64) {
+		xs = append(xs, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+	}
+	for e := -1074; e <= 1023; e++ {
+		near(math.Ldexp(1, e))
+	}
+	for e := -324; e <= 308; e++ {
+		x, _ := strconv.ParseFloat("1e"+strconv.Itoa(e), 64) // 1e-324 rounds to 0
+		near(x)
+	}
+	for m := uint64(1); m < 1<<12; m++ {
+		xs = append(xs, math.Float64frombits(m))
+	}
+	for i := int64(-300); i <= 300; i++ {
+		xs = append(xs, float64(1<<53+i))
+	}
+	near(1e-6)
+	near(1e21)
+	return append(xs, 0, math.MaxFloat64)
+}
+
+// sameAsMarshalFloat fails t unless appendFloat writes json.Marshal's
+// bytes for x and for -x. Values json.Marshal refuses (NaN, ±Inf) are
+// skipped: appendFloat is only called on finite values.
+func sameAsMarshalFloat(t *testing.T, x float64) {
+	t.Helper()
+	for _, v := range []float64{x, -x} {
+		want, err := json.Marshal(v)
+		if err != nil {
+			continue
+		}
+		if got := appendFloat([]byte("prefix"), v); string(got) != "prefix"+string(want) {
+			t.Fatalf("appendFloat(%#016x) = %s, json.Marshal = %s", math.Float64bits(v), got[len("prefix"):], want)
+		}
+	}
+}
+
+// TestAppendFloatMatchesMarshal holds the float kernel to
+// json.Marshal(float64) on the edge cases and on fixed-seed random
+// inputs: 10^6 raw bit patterns (mostly 'e' form) and 2·10^5 values
+// between 2^-20 and 2^70 (the 'f' form the broker's floats take). A
+// -race build, where json.Marshal is ~8× slower and the kernel shares
+// no memory, checks a tenth of the random inputs.
+func TestAppendFloatMatchesMarshal(t *testing.T) {
+	t.Parallel()
+	for _, x := range floatCases() {
+		sameAsMarshalFloat(t, x)
+	}
+	n := 1_000_000
+	if raceEnabled {
+		n /= 10
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		sameAsMarshalFloat(t, math.Float64frombits(r.Uint64()))
+	}
+	for i := 0; i < n/5; i++ {
+		sameAsMarshalFloat(t, math.Ldexp(1+r.Float64(), r.Intn(91)-20))
+	}
+}
+
+// FuzzAppendFloat: for any float64 bits, appendFloat writes
+// json.Marshal's bytes.
+func FuzzAppendFloat(f *testing.F) {
+	for _, x := range []float64{0, 5e-324, 0x1p-1022, 1e-7, 1e-6, 0.1, 1.0000000000000002, 123.456, 1 << 53, 1e21, 1e23, math.MaxFloat64} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		sameAsMarshalFloat(t, math.Float64frombits(bits))
+	})
+}
+
+// TestFloorLogs holds the kernel's three floor-log approximations to
+// exact math/big floors for every |e| ≤ 4096, which covers every
+// argument the kernel and its table pass them (q in [-1074, 971], -k
+// in [-292, 324]).
+func TestFloorLogs(t *testing.T) {
+	t.Parallel()
+	const n = 4096
+	pow10 := make([]*big.Int, n+2)
+	pow10[0] = big.NewInt(1)
+	for i := 1; i < len(pow10); i++ {
+		pow10[i] = new(big.Int).Mul(pow10[i-1], big.NewInt(10))
+	}
+	// cmp compares m · 2^a with 10^b, exactly.
+	cmp := func(m int64, a, b int) int {
+		l, r := big.NewInt(m), big.NewInt(1)
+		if a >= 0 {
+			l.Lsh(l, uint(a))
+		} else {
+			r.Lsh(r, uint(-a))
+		}
+		if b >= 0 {
+			r.Mul(r, pow10[b])
+		} else {
+			l.Mul(l, pow10[-b])
+		}
+		return l.Cmp(r)
+	}
+	for e := -n; e <= n; e++ {
+		// 10^k ≤ 2^e < 10^(k+1)
+		if k := flog10pow2(e); cmp(1, e, k) < 0 || cmp(1, e, k+1) >= 0 {
+			t.Fatalf("flog10pow2(%d) = %d, not floor(log10(2^%d))", e, k, e)
+		}
+		// 10^k ≤ 3 · 2^(e-2) < 10^(k+1)
+		if k := flog10threeQuartersPow2(e); cmp(3, e-2, k) < 0 || cmp(3, e-2, k+1) >= 0 {
+			t.Fatalf("flog10threeQuartersPow2(%d) = %d, not floor(log10(3/4 · 2^%d))", e, k, e)
+		}
+		// 2^k ≤ 10^e < 2^(k+1)
+		if k := flog2pow10(e); cmp(1, k, e) > 0 || cmp(1, k+1, e) <= 0 {
+			t.Fatalf("flog2pow10(%d) = %d, not floor(log2(10^%d))", e, k, e)
+		}
+	}
+}
+
+var floatSink []byte
+
+// BenchmarkAppendFloat times the float kernel against strconv's
+// shortest 'f' form, the call it replaced, on 1024 values of the
+// broker's kind: 16–17 significant digits, magnitudes 2^-6 to 2^6.
+func BenchmarkAppendFloat(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = math.Ldexp(1+r.Float64(), r.Intn(12)-6)
+	}
+	for _, bc := range []struct {
+		name string
+		fn   func([]byte, float64) []byte
+	}{
+		{"kernel", appendFloat},
+		{"strconv", func(b []byte, x float64) []byte { return strconv.AppendFloat(b, x, 'f', -1, 64) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := make([]byte, 0, 32)
+			for i := 0; i < b.N; i++ {
+				buf = bc.fn(buf[:0], xs[i%len(xs)])
+			}
+			floatSink = buf
+		})
 	}
 }
