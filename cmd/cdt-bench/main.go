@@ -42,7 +42,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -204,9 +203,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "cdt-bench:", err)
 			return 1
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(allFigs); err != nil {
+		if err := experiment.SaveFigures(f, allFigs); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "cdt-bench:", err)
 			return 1

@@ -61,9 +61,6 @@ func (a *Arms) Update(i int, observations []float64) {
 // Count returns n_i.
 func (a *Arms) Count(i int) int64 { return a.count[i] }
 
-// TotalCount returns Σ_j n_j.
-func (a *Arms) TotalCount() int64 { return a.total }
-
 // Mean returns the current estimate q̄_i (0 if unobserved).
 func (a *Arms) Mean(i int) float64 { return a.mean[i] }
 
@@ -150,15 +147,6 @@ func (a *Arms) UCBAt(i int, factor float64) float64 {
 // posInf and negInf are UCBAt's ±Inf, held in variables so the
 // per-arm index stays cheap enough for the compiler to inline.
 var posInf, negInf = math.Inf(1), math.Inf(-1)
-
-// Confidence returns the additive exploration term ε_i of Eq. 19
-// (+Inf for unobserved arms).
-func (a *Arms) Confidence(i, k int) float64 {
-	if a.count[i] == 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(a.UCBFactor(k) / float64(a.count[i]))
-}
 
 // UCB1 returns the classic single-play UCB1 index (exploration term
 // sqrt(2·ln t / n_i)) — the ablation alternative to Eq. 19.

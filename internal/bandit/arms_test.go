@@ -50,8 +50,8 @@ func TestArmsEstimatorIsSampleMean(t *testing.T) {
 		}
 		total += int64(len(all[i]))
 	}
-	if arms.TotalCount() != total {
-		t.Errorf("total %d, want %d", arms.TotalCount(), total)
+	if arms.total != total {
+		t.Errorf("total %d, want %d", arms.total, total)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestUCBProperties(t *testing.T) {
 	}
 	// UCB exceeds the mean by exactly the confidence term.
 	k := 5
-	want := arms.Mean(0) + math.Sqrt(float64(k+1)*math.Log(float64(arms.TotalCount()))/float64(arms.Count(0)))
+	want := arms.Mean(0) + math.Sqrt(float64(k+1)*math.Log(float64(arms.total))/float64(arms.Count(0)))
 	if !numutil.AlmostEqual(arms.UCB(0, k), want, 1e-12) {
 		t.Errorf("UCB = %v, want %v", arms.UCB(0, k), want)
 	}
@@ -119,7 +119,7 @@ func TestUCBAtMatchesPerArmFormula(t *testing.T) {
 	arms.Deactivate(14) // unobserved and withdrawn: -Inf wins
 	for _, k := range []int{1, 5, 10} {
 		factor := arms.UCBFactor(k)
-		logTotal := math.Log(float64(arms.TotalCount()))
+		logTotal := math.Log(float64(arms.total))
 		for i := 0; i < arms.M(); i++ {
 			var want float64
 			switch {
@@ -150,14 +150,14 @@ func TestUCBConfidenceShrinks(t *testing.T) {
 	// Past n=3, sqrt(ln n / n) is monotone decreasing; seed beyond the
 	// ln(1)=0 cold-start artifact first.
 	arms.Update(0, []float64{0.4, 0.4, 0.4, 0.4})
-	prev := arms.Confidence(0, 3)
+	prev := arms.UCB(0, 3) - arms.Mean(0)
 	for batch := 0; batch < 12; batch++ {
 		obs := make([]float64, 1<<batch)
 		for i := range obs {
 			obs[i] = 0.4
 		}
 		arms.Update(0, obs)
-		conf := arms.Confidence(0, 3)
+		conf := arms.UCB(0, 3) - arms.Mean(0)
 		if conf >= prev {
 			t.Fatalf("confidence did not shrink: %v -> %v", prev, conf)
 		}
@@ -174,7 +174,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	snap := arms.Snapshot()
 	arms.Update(0, []float64{0.9})
 	arms.Update(1, []float64{0.1})
-	if snap.Mean(0) != 0.3 || snap.Count(1) != 0 || snap.TotalCount() != 1 {
+	if snap.Mean(0) != 0.3 || snap.Count(1) != 0 || snap.total != 1 {
 		t.Error("snapshot shares state with the live estimator")
 	}
 }

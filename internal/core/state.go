@@ -25,48 +25,24 @@ import (
 	"math"
 
 	"cmabhs/internal/bandit"
-	"cmabhs/internal/ledger"
 	"cmabhs/internal/market"
 	"cmabhs/internal/numutil"
 )
 
 // StateVersion is the schema version written into every snapshot.
 // Bump it whenever the State layout changes incompatibly; DecodeState
-// rejects any version it does not know outright rather than guessing.
+// and Resume refuse any other version with ErrStateVersion rather than
+// guessing.
 //
 // Version 2 replaced the ledger's journal of every transfer with its
-// constant-size fold (ledger.State). DecodeState still reads version 1
-// and migrates it; a build that reads only version 1 refuses version 2
-// with a version mismatch.
+// constant-size fold (ledger.State). A version-1 state is refused, not
+// migrated; an earlier release that still reads it rewrites it as
+// version 2 on its next save.
 const StateVersion = 2
 
-// stateV1 is the version-1 layout: State with the settlement journal
-// where the ledger's fold now is. The outer Market field shadows the
-// embedded one, so everything else decodes into State unchanged.
-type stateV1 struct {
-	State
-	Market struct {
-		market.State
-		Ledger struct {
-			Journal []ledger.Entry `json:"journal"`
-		} `json:"ledger"`
-	} `json:"market"`
-}
-
-// migrate folds a version-1 state into the version-2 state a run that
-// had never stopped would hold: the journal is replayed once through
-// the ledger's validated transfer path.
-func (v *stateV1) migrate() (*State, error) {
-	st := v.State
-	st.Version = StateVersion
-	st.Market = v.Market.State
-	led, err := ledger.FromJournal(v.Market.Ledger.Journal)
-	if err != nil {
-		return nil, fmt.Errorf("core: migrate version-1 state: %w", err)
-	}
-	st.Market.Ledger = led
-	return &st, nil
-}
+// ErrStateVersion is wrapped by every error that refuses a state for
+// its schema version.
+var ErrStateVersion = errors.New("core: state version")
 
 // State is the serializable snapshot of a live Mechanism.
 type State struct {
@@ -202,7 +178,7 @@ func (m *Mechanism) Snapshot() *State {
 // horizon, policy identity) happen in Resume.
 func (s *State) validate() error {
 	if s.Version != StateVersion {
-		return fmt.Errorf("core: state version %d, this build reads version %d", s.Version, StateVersion)
+		return versionError(s.Version)
 	}
 	if s.Policy == "" {
 		return errors.New("core: state has no policy name")
@@ -235,10 +211,14 @@ func (s *State) Encode() ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// DecodeState parses and validates a snapshot produced by Encode,
-// migrating a version-1 snapshot to the current layout. It is strict
-// on purpose: an unknown field, an unknown version, or an invariant
-// violation is an error — never a silently zeroed field.
+// versionError refuses a state of schema version v.
+func versionError(v int) error {
+	return fmt.Errorf("%w %d, this build reads version %d", ErrStateVersion, v, StateVersion)
+}
+
+// DecodeState parses and validates a snapshot produced by Encode. It
+// is strict on purpose: an unknown field, an unknown version, or an
+// invariant violation is an error — never a silently zeroed field.
 func DecodeState(data []byte) (*State, error) {
 	// Loose version probe first, so a snapshot from a different schema
 	// reports "version mismatch" instead of whichever unknown field the
@@ -249,25 +229,14 @@ func DecodeState(data []byte) (*State, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("core: decode state: %w", err)
 	}
+	if probe.Version != StateVersion {
+		return nil, versionError(probe.Version)
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	st := &State{}
-	switch probe.Version {
-	case StateVersion:
-		if err := dec.Decode(st); err != nil {
-			return nil, fmt.Errorf("core: decode state: %w", err)
-		}
-	case 1:
-		var v1 stateV1
-		if err := dec.Decode(&v1); err != nil {
-			return nil, fmt.Errorf("core: decode state: %w", err)
-		}
-		var err error
-		if st, err = v1.migrate(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: state version %d, this build reads versions 1 and %d", probe.Version, StateVersion)
+	if err := dec.Decode(st); err != nil {
+		return nil, fmt.Errorf("core: decode state: %w", err)
 	}
 	if err := st.validate(); err != nil {
 		return nil, err

@@ -7,11 +7,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cmabhs/internal/bandit"
-	"cmabhs/internal/ledger"
 	"cmabhs/internal/rng"
 )
 
@@ -272,10 +270,6 @@ func TestDecodeStateStrict(t *testing.T) {
 		return b
 	}
 
-	bumped := mutate(func(m map[string]json.RawMessage) { m["version"] = json.RawMessage("99") })
-	if _, err := DecodeState(bumped); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("version bump: got %v", err)
-	}
 	unknown := mutate(func(m map[string]json.RawMessage) { m["surprise"] = json.RawMessage(`"x"`) })
 	if _, err := DecodeState(unknown); err == nil {
 		t.Error("unknown field accepted")
@@ -288,47 +282,27 @@ func TestDecodeStateStrict(t *testing.T) {
 		t.Error("truncated payload accepted")
 	}
 
-	// Version 1 carried the ledger's journal. A sound one migrates to
-	// the ledger state of a live run; a bad entry, a journal in a
-	// version-2 state, or a fold in a version-1 state is refused.
-	entry := `{"round":1,"from":"consumer","to":"platform","amount":%s,"memo":"data service reward"}`
-	v1 := v1Of(t, data, `{"journal":[`+strings.Replace(entry, "%s", "2.5", 1)+`]}`)
-	st, err := DecodeState(v1)
-	if err != nil {
-		t.Fatalf("version-1 state refused: %v", err)
-	}
-	var live ledger.Ledger
-	if err := live.Transfer(1, ledger.Consumer, ledger.Platform, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if st.Version != StateVersion || !sameJSON(t, st.Market.Ledger, live.State()) {
-		t.Errorf("version-1 journal migrated to %+v (version %d)", st.Market.Ledger, st.Version)
-	}
-	if _, err := DecodeState(v1Of(t, data, `{"journal":[`+strings.Replace(entry, "%s", "-1", 1)+`]}`)); !errors.Is(err, ledger.ErrNegativeAmount) {
-		t.Errorf("negative version-1 journal amount: %v", err)
-	}
-	journalInV2 := bytes.Replace(v1, []byte(`"version":1`), []byte(`"version":2`), 1)
-	if _, err := DecodeState(journalInV2); err == nil {
-		t.Error("journal in a version-2 state accepted")
-	}
+	// A bumped version is refused for it, and so is version 1, which
+	// carried the ledger's journal, whether it holds a journal or the
+	// current fold.
 	foldInV1 := bytes.Replace(data, []byte(`"version":2`), []byte(`"version":1`), 1)
-	if _, err := DecodeState(foldInV1); err == nil {
-		t.Error("ledger fold in a version-1 state accepted")
+	for name, in := range map[string][]byte{
+		"bumped":            mutate(func(m map[string]json.RawMessage) { m["version"] = json.RawMessage("99") }),
+		"fixture":           v1FixtureState(t),
+		"fold in version 1": foldInV1,
+	} {
+		if _, err := DecodeState(in); !errors.Is(err, ErrStateVersion) {
+			t.Errorf("%s: DecodeState error %v, want ErrStateVersion", name, err)
+		}
 	}
-}
-
-// sameJSON compares two values by their JSON encodings.
-func sameJSON(t *testing.T, a, b any) bool {
-	t.Helper()
-	ja, err := json.Marshal(a)
+	st, err := DecodeState(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
+	st.Version = 1
+	if _, err := Resume(cfg, &bandit.UCBGreedy{}, st); !errors.Is(err, ErrStateVersion) {
+		t.Errorf("Resume of a version-1 state: %v, want ErrStateVersion", err)
 	}
-	return bytes.Equal(ja, jb)
 }
 
 // TestResultAvgGuards: the per-round averages must not emit NaN
@@ -384,7 +358,7 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add(v1FixtureState(f))
-	f.Add(v1Of(f, valid, `{"journal":[{"round":1,"from":"consumer","to":"platform","amount":2.5,"memo":""}]}`))
+	f.Add(bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":1`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeState(data)
@@ -432,29 +406,4 @@ func v1FixtureState(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return env.State
-}
-
-// v1Of rewrites an encoded current state into the version-1 layout
-// with the given ledger object.
-func v1Of(tb testing.TB, data []byte, ledgerJSON string) []byte {
-	tb.Helper()
-	var st map[string]json.RawMessage
-	if err := json.Unmarshal(data, &st); err != nil {
-		tb.Fatal(err)
-	}
-	var mkt map[string]json.RawMessage
-	if err := json.Unmarshal(st["market"], &mkt); err != nil {
-		tb.Fatal(err)
-	}
-	mkt["ledger"] = json.RawMessage(ledgerJSON)
-	st["version"] = json.RawMessage("1")
-	var err error
-	if st["market"], err = json.Marshal(mkt); err != nil {
-		tb.Fatal(err)
-	}
-	out, err := json.Marshal(st)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 
 	"cmabhs/internal/rng"
 )
@@ -101,18 +100,6 @@ func NewCorruption(cfg CorruptionConfig, sellers int, pick, src *rng.Source) *Co
 
 // Byzantine reports whether seller i is corrupted.
 func (c *Corruption) Byzantine(i int) bool { return c.byz[i] }
-
-// ByzantineSellers returns the corrupted seller ids, sorted.
-func (c *Corruption) ByzantineSellers() []int {
-	var out []int
-	for i, b := range c.byz {
-		if b {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
 
 // hasStream reports whether the model consumes live randomness (and
 // therefore has stream state to persist).

@@ -174,10 +174,16 @@ func TestCorruptionModes(t *testing.T) {
 	}
 
 	r := NewCorruption(CorruptionConfig{Fraction: 0.4, Mode: CorruptRandom}, 10, rng.New(1), rng.New(2))
-	if n := len(r.ByzantineSellers()); n != 4 {
+	var byzantine []int
+	for i := 0; i < 10; i++ {
+		if r.Byzantine(i) {
+			byzantine = append(byzantine, i)
+		}
+	}
+	if n := len(byzantine); n != 4 {
 		t.Fatalf("fraction 0.4 of 10 picked %d sellers", n)
 	}
-	byz := r.ByzantineSellers()[0]
+	byz := byzantine[0]
 	a, b := r.Corrupt(byz, 0, 1, 0.5), r.Corrupt(byz, 0, 2, 0.5)
 	if a == b {
 		t.Fatalf("random mode returned identical draws %v", a)

@@ -144,22 +144,3 @@ func SolveFlex(f *FlexParams) (*Outcome, error) {
 	out.ConsumerProfit = f.Valuation.Value(out.TotalTau, qbar) - pJ*out.TotalTau
 	return out, nil
 }
-
-// FlexFromParams lifts the paper's quadratic/log game into the
-// flexible representation (for cross-checks and ablations). maxTau
-// must be positive.
-func FlexFromParams(p *Params, maxTau float64) *FlexParams {
-	costs := make([]economics.CostFunc, len(p.Sellers))
-	for i, c := range p.Sellers {
-		costs[i] = c
-	}
-	return &FlexParams{
-		Costs:     costs,
-		Qualities: append([]float64(nil), p.Qualities...),
-		Platform:  p.Platform,
-		Valuation: p.Consumer,
-		PJBounds:  p.PJBounds,
-		PBounds:   p.PBounds,
-		MaxTau:    maxTau,
-	}
-}

@@ -9,8 +9,26 @@ import (
 	"cmabhs/internal/rng"
 )
 
+// flexOf lifts the paper's quadratic/log game into the flexible
+// representation, so SolveFlex can be checked against Solve.
+func flexOf(p *Params, maxTau float64) *FlexParams {
+	costs := make([]economics.CostFunc, len(p.Sellers))
+	for i, c := range p.Sellers {
+		costs[i] = c
+	}
+	return &FlexParams{
+		Costs:     costs,
+		Qualities: append([]float64(nil), p.Qualities...),
+		Platform:  p.Platform,
+		Valuation: p.Consumer,
+		PJBounds:  p.PJBounds,
+		PBounds:   p.PBounds,
+		MaxTau:    maxTau,
+	}
+}
+
 func TestFlexValidate(t *testing.T) {
-	good := FlexFromParams(defaultParams(3), 50)
+	good := flexOf(defaultParams(3), 50)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid flex rejected: %v", err)
 	}
@@ -28,7 +46,7 @@ func TestFlexValidate(t *testing.T) {
 		{"no cap", func(f *FlexParams) { f.MaxTau = 0 }},
 	}
 	for _, tc := range cases {
-		f := FlexFromParams(defaultParams(3), 50)
+		f := flexOf(defaultParams(3), 50)
 		tc.mutate(f)
 		if err := f.Validate(); err == nil {
 			t.Errorf("%s: expected error", tc.name)
@@ -48,7 +66,7 @@ func TestFlexMatchesClosedFormOnPaperFamilies(t *testing.T) {
 	if closed.TauClamped || closed.NoTrade {
 		t.Fatal("interior instance expected")
 	}
-	flex, err := SolveFlex(FlexFromParams(p, 4*closed.TotalTau))
+	flex, err := SolveFlex(flexOf(p, 4*closed.TotalTau))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +173,7 @@ func TestFlexNoTrade(t *testing.T) {
 
 func BenchmarkSolveFlexK10(b *testing.B) {
 	p := defaultParams(10)
-	f := FlexFromParams(p, 50)
+	f := flexOf(p, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SolveFlex(f); err != nil {

@@ -264,31 +264,6 @@ func (l *Ledger) Restore(st State) error {
 	return nil
 }
 
-// Entry is one transfer of a version-1 snapshot, which stored the
-// whole journal instead of its fold.
-type Entry struct {
-	Round  int     `json:"round"`  // trading round the transfer settles
-	From   Account `json:"from"`   // payer
-	To     Account `json:"to"`     // payee
-	Amount float64 `json:"amount"` // non-negative
-	Memo   string  `json:"memo"`   // human-readable reason ("service reward", ...)
-}
-
-// FromJournal folds a version-1 journal into the state a ledger that
-// booked the same transfers live would hold, replaying each entry
-// through Transfer so a corrupted journal cannot smuggle in a NaN or a
-// negative amount. Memos are dropped: a settlement's memo follows
-// from its direction.
-func FromJournal(journal []Entry) (State, error) {
-	var l Ledger
-	for i, e := range journal {
-		if err := l.Transfer(e.Round, e.From, e.To, e.Amount); err != nil {
-			return State{}, fmt.Errorf("ledger: journal entry %d: %w", i, err)
-		}
-	}
-	return l.State(), nil
-}
-
 // SettleRoundSorted books one round's CDT payments: the consumer pays
 // the platform reward (p^J·Στ) and the platform pays seller ids[j]
 // pay[j] (p·τ_j), in that order. ids must be sorted ascending and free

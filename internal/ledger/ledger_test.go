@@ -316,29 +316,6 @@ func TestImbalanceBoundHoldsOverLongRuns(t *testing.T) {
 	}
 }
 
-func TestFromJournal(t *testing.T) {
-	live := settledLedger(t, 4)
-	var journal []Entry
-	for r := 1; r <= 4; r++ {
-		pay := []float64{1.25, 0.5 * float64(r%4), 2}
-		journal = append(journal, Entry{Round: r, From: Consumer, To: Platform, Amount: 7.5 + float64(r%3), Memo: "data service reward"})
-		for j, id := range []int{0, 2, 5} {
-			journal = append(journal, Entry{Round: r, From: Platform, To: Seller(id), Amount: pay[j], Memo: "data collection reward"})
-		}
-	}
-	st, err := FromJournal(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, live.State()) {
-		t.Fatalf("folded journal %+v, live ledger %+v", st, live.State())
-	}
-	journal[5].Amount = -1
-	if _, err := FromJournal(journal); !errors.Is(err, ErrNegativeAmount) {
-		t.Fatalf("negative journal amount: %v", err)
-	}
-}
-
 // BenchmarkSettleRoundSorted books one K=10 settlement per op: the
 // balance updates plus the canonical records hashed into the digest.
 func BenchmarkSettleRoundSorted(b *testing.B) {

@@ -3,8 +3,8 @@
 // expected quality q_i ∈ [0, 1] determined by its device, and every
 // observation q_{i,l}^t at a PoI is a noisy draw around q_i caused by
 // exogenous factors (angle, distance, context). The paper's
-// simulations use a truncated Gaussian on [0, 1]; Bernoulli and Beta
-// observation models are provided for robustness studies.
+// simulations use a truncated Gaussian on [0, 1]; a Bernoulli
+// observation model is provided for robustness studies.
 package quality
 
 import (
@@ -118,43 +118,6 @@ func (m *Bernoulli) Observe(seller, poi, round int) float64 {
 	return m.src.Bernoulli(m.means[seller])
 }
 
-// Beta observes Beta-distributed qualities with mean q_i and a
-// concentration parameter: alpha = q·c, beta = (1−q)·c. Larger c
-// means tighter observations.
-type Beta struct {
-	means []float64
-	conc  float64
-	src   *rng.Source
-}
-
-// NewBeta builds the model. conc must be positive.
-func NewBeta(means []float64, conc float64, src *rng.Source) (*Beta, error) {
-	if err := validateExpectations(means); err != nil {
-		return nil, err
-	}
-	if conc <= 0 {
-		return nil, errors.New("quality: concentration must be positive")
-	}
-	return &Beta{means: append([]float64(nil), means...), conc: conc, src: src}, nil
-}
-
-// Expected returns q_i.
-func (m *Beta) Expected(seller int) float64 { return m.means[seller] }
-
-// Sellers returns M.
-func (m *Beta) Sellers() int { return len(m.means) }
-
-// Observe draws a Beta observation; degenerate means (0 or 1) return
-// the mean itself.
-func (m *Beta) Observe(seller, poi, round int) float64 {
-	checkIndices(seller, len(m.means), poi, round)
-	q := m.means[seller]
-	if q <= 0 || q >= 1 {
-		return q
-	}
-	return m.src.Beta(q*m.conc, (1-q)*m.conc)
-}
-
 // Deterministic always observes exactly q_i — useful for tests that
 // need noise-free estimators.
 type Deterministic struct {
@@ -215,100 +178,11 @@ func (m *Bernoulli) State() State { return State{RNG: m.src.State()} }
 // Restore implements Stateful.
 func (m *Bernoulli) Restore(st State) error { m.src.SetState(st.RNG); return nil }
 
-// State implements Stateful.
-func (m *Beta) State() State { return State{RNG: m.src.State()} }
-
-// Restore implements Stateful.
-func (m *Beta) Restore(st State) error { m.src.SetState(st.RNG); return nil }
-
-// State implements Stateful. The bias matrix is regenerated from the
-// seed at construction, so only the stream position is exported.
-func (m *PoIBiased) State() State { return State{RNG: m.src.State()} }
-
-// Restore implements Stateful.
-func (m *PoIBiased) Restore(st State) error { m.src.SetState(st.RNG); return nil }
-
 var (
 	_ Model = (*TruncGaussian)(nil)
 	_ Model = (*Bernoulli)(nil)
-	_ Model = (*Beta)(nil)
 	_ Model = (*Deterministic)(nil)
 
 	_ Stateful = (*TruncGaussian)(nil)
 	_ Stateful = (*Bernoulli)(nil)
-	_ Stateful = (*Beta)(nil)
-	_ Stateful = (*PoIBiased)(nil)
 )
-
-// PoIBiased refines the paper's Remark on Def. 3: the actual quality
-// q_{i,l} differs per PoI (distance, angle, context) even with the
-// same device, while the per-seller mean stays q_i. Each (seller,
-// PoI) pair carries a fixed bias drawn from ±BiasSpread that averages
-// (approximately) to zero across PoIs, and observations add truncated
-// Gaussian noise on top.
-type PoIBiased struct {
-	means []float64
-	bias  [][]float64 // [seller][poi] offsets
-	sd    float64
-	src   *rng.Source
-}
-
-// NewPoIBiased builds the model with pois fixed per-PoI biases per
-// seller, each uniform in [−biasSpread, +biasSpread] and recentred to
-// mean zero across the seller's PoIs.
-func NewPoIBiased(means []float64, pois int, biasSpread, sd float64, src *rng.Source) (*PoIBiased, error) {
-	if err := validateExpectations(means); err != nil {
-		return nil, err
-	}
-	if pois <= 0 {
-		return nil, errors.New("quality: need at least one PoI")
-	}
-	if biasSpread < 0 || sd < 0 {
-		return nil, errors.New("quality: negative spread or sd")
-	}
-	m := &PoIBiased{
-		means: append([]float64(nil), means...),
-		bias:  make([][]float64, len(means)),
-		sd:    sd,
-		src:   src,
-	}
-	for i := range m.bias {
-		row := make([]float64, pois)
-		var sum float64
-		for l := range row {
-			row[l] = src.Uniform(-biasSpread, biasSpread)
-			sum += row[l]
-		}
-		center := sum / float64(pois)
-		for l := range row {
-			row[l] -= center // per-seller mean bias is exactly zero
-		}
-		m.bias[i] = row
-	}
-	return m, nil
-}
-
-// Expected returns q_i (the across-PoI mean, by construction).
-func (m *PoIBiased) Expected(seller int) float64 { return m.means[seller] }
-
-// Sellers returns M.
-func (m *PoIBiased) Sellers() int { return len(m.means) }
-
-// ExpectedAtPoI returns the (seller, poi) mean q_{i,l} clamped to
-// [0, 1].
-func (m *PoIBiased) ExpectedAtPoI(seller, poi int) float64 {
-	q := m.means[seller] + m.bias[seller][poi%len(m.bias[seller])]
-	if q < 0 {
-		return 0
-	}
-	if q > 1 {
-		return 1
-	}
-	return q
-}
-
-// Observe draws a truncated-Gaussian observation around q_{i,l}.
-func (m *PoIBiased) Observe(seller, poi, round int) float64 {
-	checkIndices(seller, len(m.means), poi, round)
-	return m.src.TruncNormal(m.ExpectedAtPoI(seller, poi), m.sd, 0, 1)
-}

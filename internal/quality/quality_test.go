@@ -21,9 +21,6 @@ func TestValidation(t *testing.T) {
 	if _, err := NewBernoulli([]float64{2}, src); err == nil {
 		t.Error("Bernoulli should validate expectations")
 	}
-	if _, err := NewBeta([]float64{0.5}, 0, src); err == nil {
-		t.Error("non-positive concentration should be rejected")
-	}
 	if _, err := NewDeterministic([]float64{0.5, 0, 1}); err != nil {
 		t.Errorf("boundary expectations are valid: %v", err)
 	}
@@ -88,29 +85,6 @@ func TestBernoulliObservations(t *testing.T) {
 	}
 	if math.Abs(sum/float64(n)-0.25) > 0.01 {
 		t.Errorf("empirical mean %v", sum/float64(n))
-	}
-}
-
-func TestBetaObservations(t *testing.T) {
-	m, err := NewBeta([]float64{0.6, 0, 1}, 20, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		v := m.Observe(0, 0, i)
-		if v < 0 || v > 1 {
-			t.Fatalf("observation out of range: %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum/float64(n)-0.6) > 0.01 {
-		t.Errorf("empirical mean %v", sum/float64(n))
-	}
-	// Degenerate means pass through exactly.
-	if m.Observe(1, 0, 0) != 0 || m.Observe(2, 0, 0) != 1 {
-		t.Error("degenerate means should be returned exactly")
 	}
 }
 
@@ -179,53 +153,5 @@ func TestRandomMeans(t *testing.T) {
 	}
 	if math.Abs(sum/500-0.5) > 0.05 {
 		t.Errorf("means not centered: %v", sum/500)
-	}
-}
-
-func TestPoIBiased(t *testing.T) {
-	src := rng.New(21)
-	m, err := NewPoIBiased([]float64{0.5, 0.8}, 6, 0.2, 0.05, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sellers() != 2 || m.Expected(0) != 0.5 {
-		t.Fatal("accessors wrong")
-	}
-	// Per-PoI means differ but average to the seller mean.
-	var sum float64
-	distinct := false
-	first := m.ExpectedAtPoI(0, 0)
-	for l := 0; l < 6; l++ {
-		q := m.ExpectedAtPoI(0, l)
-		if q != first {
-			distinct = true
-		}
-		sum += m.means[0] + m.bias[0][l] // unclamped for the mean identity
-	}
-	if !distinct {
-		t.Error("per-PoI qualities should differ")
-	}
-	if math.Abs(sum/6-0.5) > 1e-12 {
-		t.Errorf("across-PoI mean %v, want 0.5", sum/6)
-	}
-	// Observations at one PoI concentrate around its biased mean.
-	var obs float64
-	n := 20000
-	for i := 0; i < n; i++ {
-		v := m.Observe(0, 2, i)
-		if v < 0 || v > 1 {
-			t.Fatalf("observation %v out of range", v)
-		}
-		obs += v
-	}
-	if math.Abs(obs/float64(n)-m.ExpectedAtPoI(0, 2)) > 0.01 {
-		t.Errorf("observed mean %v, want ≈%v", obs/float64(n), m.ExpectedAtPoI(0, 2))
-	}
-	// Validation.
-	if _, err := NewPoIBiased([]float64{0.5}, 0, 0.1, 0.1, src); err == nil {
-		t.Error("zero PoIs should fail")
-	}
-	if _, err := NewPoIBiased([]float64{0.5}, 3, -1, 0.1, src); err == nil {
-		t.Error("negative spread should fail")
 	}
 }

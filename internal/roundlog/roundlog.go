@@ -1,9 +1,8 @@
 // Package roundlog implements the durable trade log of a CDT market:
 // an append-only, line-delimited JSON journal of per-round records,
-// with a schema header, a reader, and a replay routine that recomputes
-// the run's cumulative metrics from the log alone. The log is the
-// audit trail — any party can re-derive revenues, profits, and
-// payments from it and check them against the reported result.
+// with a schema header and a reader. The log is the audit trail — any
+// party can re-derive revenues, profits, and payments from it and
+// check them against the reported result.
 package roundlog
 
 import (
@@ -142,64 +141,4 @@ func Read(r io.Reader) (policy string, rounds []core.RoundRecord, err error) {
 		return "", nil, err
 	}
 	return h.Policy, rounds, nil
-}
-
-// Replay recomputes the cumulative metrics from a journal's rounds.
-type Replay struct {
-	Rounds          int
-	RealizedRevenue float64
-	CumPoC, CumPoP  float64
-	CumPoS          float64
-	ConsumerSpend   float64 // Σ p^J·Στ
-	SellerPayout    float64 // Σ p·τ_i over all sellers and rounds
-}
-
-// Summarize folds the journal's rounds into a Replay.
-func Summarize(rounds []core.RoundRecord) *Replay {
-	var rev, poc, pop, pos, spend, payout numutil.KahanSum
-	for i := range rounds {
-		r := &rounds[i]
-		rev.Add(r.Realized)
-		poc.Add(r.PoC)
-		pop.Add(r.PoP)
-		for _, sp := range r.SellerProfits {
-			pos.Add(sp)
-		}
-		spend.Add(r.PJ * r.TotalTau)
-		for _, tau := range r.Taus {
-			payout.Add(r.P * tau)
-		}
-	}
-	return &Replay{
-		Rounds:          len(rounds),
-		RealizedRevenue: rev.Sum(),
-		CumPoC:          poc.Sum(),
-		CumPoP:          pop.Sum(),
-		CumPoS:          pos.Sum(),
-		ConsumerSpend:   spend.Sum(),
-		SellerPayout:    payout.Sum(),
-	}
-}
-
-// Verify checks a replayed journal against a reported result,
-// returning a descriptive error on the first mismatch. tol is the
-// relative tolerance (floats accumulate differently across orderings).
-func Verify(rep *Replay, res *core.Result, tol float64) error {
-	checks := []struct {
-		name      string
-		got, want float64
-	}{
-		{"rounds", float64(rep.Rounds), float64(res.RoundsPlayed)},
-		{"realized revenue", rep.RealizedRevenue, res.RealizedRevenue},
-		{"consumer profit", rep.CumPoC, res.CumPoC},
-		{"platform profit", rep.CumPoP, res.CumPoP},
-		{"seller profit", rep.CumPoS, res.CumPoS},
-		{"consumer spend", rep.ConsumerSpend, res.ConsumerSpend},
-	}
-	for _, c := range checks {
-		if !numutil.AlmostEqual(c.got, c.want, tol) {
-			return fmt.Errorf("roundlog: %s mismatch: journal %v vs result %v", c.name, c.got, c.want)
-		}
-	}
-	return nil
 }

@@ -41,17 +41,12 @@ type segmentHeader struct {
 }
 
 // EncodeSegmentHeader renders the header line (newline-terminated) for
-// a segment holding rounds base, base+1, ... of job.
-func EncodeSegmentHeader(job string, base int) ([]byte, error) {
-	return EncodeSegmentHeaderEpoch(job, base, 0)
-}
-
-// EncodeSegmentHeaderEpoch is EncodeSegmentHeader with the writer's
-// lease epoch stamped into the header. A recovering node compares the
-// stamp against its own lease: a segment from a HIGHER epoch means
-// another owner already advanced past this node's view of the job, so
-// resuming from it would fork history.
-func EncodeSegmentHeaderEpoch(job string, base int, epoch int64) ([]byte, error) {
+// a segment holding rounds base, base+1, ... of job, stamped with the
+// writer's lease epoch (0 when unowned, and then omitted). A
+// recovering node compares the stamp against its own lease: a segment
+// from a HIGHER epoch means another owner already advanced past this
+// node's view of the job, so resuming from it would fork history.
+func EncodeSegmentHeader(job string, base int, epoch int64) ([]byte, error) {
 	data, err := json.Marshal(segmentHeader{
 		Schema: SegmentSchema, Version: SegmentVersion, Job: job, Base: base, Epoch: epoch,
 	})

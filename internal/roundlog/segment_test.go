@@ -31,7 +31,7 @@ func segRecords(n, base int) []core.RoundRecord {
 
 func buildSegment(t *testing.T, job string, base int, recs []core.RoundRecord) []byte {
 	t.Helper()
-	hdr, err := EncodeSegmentHeader(job, base)
+	hdr, err := EncodeSegmentHeader(job, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSegmentTornTailBadJSONLine(t *testing.T) {
 // truncating the log.
 func TestSegmentMidFileCorruptionFails(t *testing.T) {
 	recs := segRecords(3, 1)
-	hdr, _ := EncodeSegmentHeader("job-1", 1)
+	hdr, _ := EncodeSegmentHeader("job-1", 1, 0)
 	line1, _ := EncodeSegmentRecords(recs[:1])
 	line3, _ := EncodeSegmentRecords(recs[2:])
 	data := append(hdr, line1...)
@@ -142,7 +142,7 @@ func TestSegmentHeaderErrors(t *testing.T) {
 		t.Errorf("future version: %v", err)
 	}
 	// A header-only file whose single line is torn has no header yet.
-	hdr, _ := EncodeSegmentHeader("job-1", 1)
+	hdr, _ := EncodeSegmentHeader("job-1", 1, 0)
 	if _, err := ReadSegment(bytes.TrimSuffix(hdr, []byte("\n"))); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("torn header: %v", err)
 	}
@@ -181,12 +181,11 @@ func intsAsBytes(xs []int) []byte {
 	return out
 }
 
-// The lease epoch stamped by a clustered broker must round-trip, and —
-// the single-node compatibility contract — epoch 0 must produce bytes
-// identical to the pre-epoch header, so an unclustered broker's WAL
-// files never change shape.
+// The lease epoch stamped by a clustered broker must round-trip, and
+// epoch 0 must be omitted, so an unclustered broker's header keeps the
+// bytes it had before leases existed.
 func TestSegmentEpochRoundTrip(t *testing.T) {
-	hdr, err := EncodeSegmentHeaderEpoch("job-a-1", 9, 3)
+	hdr, err := EncodeSegmentHeader("job-a-1", 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,22 +197,15 @@ func TestSegmentEpochRoundTrip(t *testing.T) {
 		t.Fatalf("epoch header round-trip: %+v", seg)
 	}
 
-	plain, err := EncodeSegmentHeader("job-1", 4)
+	zero, err := EncodeSegmentHeader("job-1", 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := EncodeSegmentHeaderEpoch("job-1", 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	if want := `{"schema":"cdt-wal","version":1,"job":"job-1","base":4}` + "\n"; string(zero) != want {
+		t.Fatalf("epoch-0 header %q, want %q", zero, want)
 	}
-	if !bytes.Equal(plain, zero) {
-		t.Fatalf("epoch-0 header differs from the legacy form:\n%s%s", plain, zero)
-	}
-	if bytes.Contains(plain, []byte("epoch")) {
-		t.Fatalf("legacy header leaks the epoch field: %s", plain)
-	}
-	if seg, err := ReadSegment(plain); err != nil || seg.Epoch != 0 {
-		t.Fatalf("legacy header read: %+v err=%v", seg, err)
+	if seg, err := ReadSegment(zero); err != nil || seg.Epoch != 0 {
+		t.Fatalf("epoch-0 header read: %+v err=%v", seg, err)
 	}
 }
 
@@ -225,7 +217,7 @@ func TestSegmentEpochRoundTrip(t *testing.T) {
 // same rounds.
 func FuzzReadSegment(f *testing.F) {
 	recs := segRecords(3, 5)
-	hdr, err := EncodeSegmentHeaderEpoch("job-7", 5, 2)
+	hdr, err := EncodeSegmentHeader("job-7", 5, 2)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -246,7 +238,7 @@ func FuzzReadSegment(f *testing.F) {
 
 	encode := func(t *testing.T, seg *Segment) []byte {
 		t.Helper()
-		out, err := EncodeSegmentHeaderEpoch(seg.Job, seg.Base, seg.Epoch)
+		out, err := EncodeSegmentHeader(seg.Job, seg.Base, seg.Epoch)
 		if err != nil {
 			t.Fatalf("re-encode header %+v: %v", seg, err)
 		}

@@ -21,11 +21,11 @@ import (
 )
 
 // FuzzSnapshotFile writes arbitrary bytes as `<id>.json`. Load must
-// not panic: a file starting with `{` is plain JSON from an older store
-// and loads as it is; anything else loads as the payload of a region
-// whose CRC-32C verifies (checked here against the file's bytes, not
-// through the store's parser) or is refused with ErrSnapshotCorrupt.
-// A save over the file then loads back exactly.
+// not panic: a file without the cdt-snap header, plain JSON included,
+// is refused with ErrSnapshotCorrupt; anything else loads as the
+// payload of a region whose CRC-32C verifies (checked here against the
+// file's bytes, not through the store's parser) or is refused with
+// ErrSnapshotCorrupt. A save over the file then loads back exactly.
 func FuzzSnapshotFile(f *testing.F) {
 	one := newSnapFile(3, []byte(`{"a":1}`))
 	region := (len(one) - snapPage) / 2
@@ -47,13 +47,11 @@ func FuzzSnapshotFile(f *testing.F) {
 		}
 		got, err := fs.Load(id)
 		switch {
+		case !bytes.HasPrefix(data, []byte(snapMagic)) && !errors.Is(err, ErrSnapshotCorrupt):
+			t.Fatalf("file without the %s header: load error %v, want ErrSnapshotCorrupt", snapMagic, err)
 		case err != nil:
 			if !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("load refused with an untyped error: %v", err)
-			}
-		case len(data) > 0 && data[0] == '{':
-			if !bytes.Equal(got, data) {
-				t.Fatal("plain JSON did not load as it is")
 			}
 		case !verifiedPayload(data, got):
 			t.Fatalf("load returned %d bytes that are no verified region's payload", len(got))

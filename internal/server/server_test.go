@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -144,17 +146,23 @@ func TestJobLifecycle(t *testing.T) {
 
 func TestJobCreationErrors(t *testing.T) {
 	ts := newTestServer(t)
+	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "session_v1_m20-k5-faults-r40.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		req  any
 		want int
+		msg  string // a substring of the error message, when set
 	}{
-		{"no sellers", JobRequest{K: 2, Rounds: 10}, http.StatusBadRequest},
-		{"no k", JobRequest{RandomSellers: 5, Rounds: 10}, http.StatusBadRequest},
-		{"no rounds", JobRequest{RandomSellers: 5, K: 2}, http.StatusBadRequest},
-		{"k > m", JobRequest{RandomSellers: 3, K: 5, Rounds: 10}, http.StatusBadRequest},
-		{"bad policy", JobRequest{RandomSellers: 5, K: 2, Rounds: 10, Policy: "wat"}, http.StatusBadRequest},
-		{"not json", "}{", http.StatusBadRequest},
+		{"no sellers", JobRequest{K: 2, Rounds: 10}, http.StatusBadRequest, ""},
+		{"no k", JobRequest{RandomSellers: 5, Rounds: 10}, http.StatusBadRequest, ""},
+		{"no rounds", JobRequest{RandomSellers: 5, K: 2}, http.StatusBadRequest, ""},
+		{"k > m", JobRequest{RandomSellers: 3, K: 5, Rounds: 10}, http.StatusBadRequest, ""},
+		{"bad policy", JobRequest{RandomSellers: 5, K: 2, Rounds: 10, Policy: "wat"}, http.StatusBadRequest, ""},
+		{"not json", "}{", http.StatusBadRequest, ""},
+		{"version-1 snapshot", JobRequest{Snapshot: v1}, http.StatusBadRequest, "state version 1, this build reads version 2"},
 	}
 	for _, tc := range cases {
 		var out ErrorResponse
@@ -164,6 +172,13 @@ func TestJobCreationErrors(t *testing.T) {
 		if out.Error.Code != "invalid_request" || out.Error.Message == "" {
 			t.Errorf("%s: envelope %+v, want code invalid_request with a message", tc.name, out)
 		}
+		if !strings.Contains(out.Error.Message, tc.msg) {
+			t.Errorf("%s: message %q, want it to name %q", tc.name, out.Error.Message, tc.msg)
+		}
+	}
+	var list []JobStatus
+	if code := do(t, ts, http.MethodGet, "/v1/jobs", nil, &list); code != http.StatusOK || len(list) != 0 {
+		t.Fatalf("jobs after refused creates: status %d, %d jobs, want none", code, len(list))
 	}
 }
 

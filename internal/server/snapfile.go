@@ -36,9 +36,9 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrSnapshotCorrupt is returned by Load when `<id>.json` is neither a
-// plain-JSON snapshot nor a two-region file with a region that
-// verifies.
+// ErrSnapshotCorrupt is returned by Load when `<id>.json` is not a
+// two-region file with a region that verifies. A plain-JSON snapshot
+// of a store that predates this layout is refused with it too.
 var ErrSnapshotCorrupt = errors.New("server: snapshot file corrupt")
 
 // snapFile is a parsed two-region file: its region size and, for each

@@ -131,11 +131,11 @@ const maxSnapshotBytes = 1 << 30
 // file whose regions can hold data, data goes into the region that
 // does not hold the newest verified snapshot, at the next generation,
 // with one write and one fsync. Otherwise — the job's first save, a
-// snapshot that outgrew its region, a plain-JSON file from an older
-// store, or a file that is not one this store writes — the whole file
-// is replaced (see replace), with data in region 0. The region is
-// chosen from what is on disk at every save, never from a cached
-// generation, so an ownership steal and steal-back cannot reuse one.
+// snapshot that outgrew its region, or a file that is not one this
+// store writes — the whole file is replaced (see replace), with data
+// in region 0. The region is chosen from what is on disk at every
+// save, never from a cached generation, so an ownership steal and
+// steal-back cannot reuse one.
 func (f *FileStore) Save(id string, data []byte) error {
 	if err := checkID(id); err != nil {
 		return err
@@ -279,10 +279,11 @@ func readFileBuf(h *os.File) (*[]byte, error) {
 }
 
 // Load implements Store with one read of `<id>.json`: the newest
-// region of a two-region file that verifies, or a plain-JSON file
-// (one that starts with `{`, as older stores wrote) as it is. Anything
-// else is ErrSnapshotCorrupt. The file is read into a pooled buffer
-// and the snapshot copied out, so the result holds the payload alone.
+// region of a two-region file that verifies. Anything else, the
+// plain-JSON file of a store that predates the two-region layout
+// included, is ErrSnapshotCorrupt. The file is read into a pooled
+// buffer and the snapshot copied out, so the result holds the payload
+// alone.
 func (f *FileStore) Load(id string) ([]byte, error) {
 	if err := checkID(id); err != nil {
 		return nil, err
@@ -297,13 +298,9 @@ func (f *FileStore) Load(id string) ([]byte, error) {
 		return nil, fmt.Errorf("server: load %s: %w", id, err)
 	}
 	defer fileBufs.Put(bp)
-	data := *bp
-	if len(data) > 0 && data[0] == '{' {
-		return bytes.Clone(data), nil
-	}
-	sf, ok := parseSnapFile(data)
+	sf, ok := parseSnapFile(*bp)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s: neither JSON nor a two-region file", ErrSnapshotCorrupt, id)
+		return nil, fmt.Errorf("%w: %s: not a two-region file", ErrSnapshotCorrupt, id)
 	}
 	n := sf.newest()
 	if n < 0 {

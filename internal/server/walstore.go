@@ -130,7 +130,7 @@ func (w *WALStore) ResetWAL(id string, base int) error {
 
 // ResetWALFenced implements RoundWAL through the store's write fence.
 // The epoch goes into the segment header (see
-// roundlog.EncodeSegmentHeaderEpoch) so recovery can detect segments
+// roundlog.EncodeSegmentHeader) so recovery can detect segments
 // written by a later ownership generation.
 func (w *WALStore) ResetWALFenced(id string, base int, owner string, epoch int64) error {
 	return w.fenced(id, owner, epoch, func() error { return w.resetWAL(id, base, epoch) })
@@ -140,7 +140,7 @@ func (w *WALStore) resetWAL(id string, base int, epoch int64) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
-	hdr, err := roundlog.EncodeSegmentHeaderEpoch(id, base, epoch)
+	hdr, err := roundlog.EncodeSegmentHeader(id, base, epoch)
 	if err != nil {
 		return fmt.Errorf("server: wal reset %s: %w", id, err)
 	}

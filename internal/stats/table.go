@@ -26,15 +26,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddFloatRow appends a row of formatted floats.
-func (t *Table) AddFloatRow(vals ...float64) {
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		cells[i] = FormatFloat(v)
-	}
-	t.AddRow(cells...)
-}
-
 // Render writes the table to w in aligned plain text.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

@@ -8,7 +8,7 @@ import (
 func TestTableRender(t *testing.T) {
 	tab := NewTable("Demo", "x", "y")
 	tab.AddRow("1", "10")
-	tab.AddFloatRow(2, 20.5)
+	tab.AddRow(FormatFloat(2), FormatFloat(20.5))
 	tab.AddRow("3") // short row padded
 	var sb strings.Builder
 	if err := tab.Render(&sb); err != nil {

@@ -21,7 +21,6 @@ const DefaultMaxSpansPerTrace = 512
 type Store struct {
 	mu       sync.Mutex
 	capacity int
-	maxSpans int
 	order    []TraceID // oldest first
 	traces   map[TraceID]*traceEntry
 
@@ -45,20 +44,8 @@ func NewStore(capacity int) *Store {
 	}
 	return &Store{
 		capacity: capacity,
-		maxSpans: DefaultMaxSpansPerTrace,
 		traces:   make(map[TraceID]*traceEntry, capacity),
 	}
-}
-
-// SetMaxSpansPerTrace overrides the per-trace span cap (n <= 0 resets
-// the default). Call before recording; it does not re-trim.
-func (s *Store) SetMaxSpansPerTrace(n int) {
-	if n <= 0 {
-		n = DefaultMaxSpansPerTrace
-	}
-	s.mu.Lock()
-	s.maxSpans = n
-	s.mu.Unlock()
 }
 
 // add records one finished span, evicting the oldest trace if the
@@ -78,7 +65,7 @@ func (s *Store) add(sp *Span) {
 		s.traces[sp.trace] = e
 		s.order = append(s.order, sp.trace)
 	}
-	if len(e.spans) >= s.maxSpans {
+	if len(e.spans) >= DefaultMaxSpansPerTrace {
 		e.dropped++
 		s.droppedSpans++
 		return
@@ -87,13 +74,6 @@ func (s *Store) add(sp *Span) {
 		e.first = sp.start
 	}
 	e.spans = append(e.spans, sp)
-}
-
-// Len returns the number of traces currently held.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
 }
 
 // Evicted returns how many traces the ring has evicted so far.

@@ -149,8 +149,8 @@ func TestStoreEvictionOrder(t *testing.T) {
 		roots = append(roots, rootSpan(tr, "n"))
 		ids = append(ids, roots[i].TraceID().String())
 	}
-	if s.Len() != 3 {
-		t.Fatalf("store holds %d traces, want 3", s.Len())
+	if len(s.Traces()) != 3 {
+		t.Fatalf("store holds %d traces, want 3", len(s.Traces()))
 	}
 	if s.Evicted() != 2 {
 		t.Fatalf("evicted %d, want 2", s.Evicted())
@@ -173,7 +173,7 @@ func TestStoreEvictionOrder(t *testing.T) {
 	}
 	// A span for an already-stored trace must not evict anything.
 	roots[3].StartLeafAt("n2", time.Now()).End()
-	if s.Evicted() != 2 || s.Len() != 3 {
+	if s.Evicted() != 2 || len(s.Traces()) != 3 {
 		t.Fatal("adding to a live trace evicted something")
 	}
 	if d, _ := s.Trace(ids[3]); len(d.Spans) != 2 {
@@ -184,15 +184,14 @@ func TestStoreEvictionOrder(t *testing.T) {
 func TestStoreSpanCapCountsDrops(t *testing.T) {
 	tr := NewSeeded(9, 4)
 	s := tr.Store()
-	s.SetMaxSpansPerTrace(3)
 	ctx, root := tr.StartSpan(context.Background(), "root")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultMaxSpansPerTrace+7; i++ {
 		_, sp := tr.StartSpan(ctx, fmt.Sprint(i))
 		sp.End()
 	}
 	detail, _ := s.Trace(root.TraceID().String())
-	if len(detail.Spans) != 3 {
-		t.Fatalf("%d spans kept, want 3", len(detail.Spans))
+	if len(detail.Spans) != DefaultMaxSpansPerTrace {
+		t.Fatalf("%d spans kept, want %d", len(detail.Spans), DefaultMaxSpansPerTrace)
 	}
 	if detail.Dropped != 7 || s.DroppedSpans() != 7 {
 		t.Fatalf("dropped %d/%d, want 7", detail.Dropped, s.DroppedSpans())
@@ -363,7 +362,7 @@ func TestStoreConcurrentRecordAndRead(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := tr.Store().Len(); got != 16 {
+	if got := len(tr.Store().Traces()); got != 16 {
 		t.Fatalf("store holds %d traces, want 16", got)
 	}
 }

@@ -68,8 +68,7 @@ func (s *Session) Save() ([]byte, error) {
 // A snapshot in the shape Save writes is read in one strict pass
 // (decodeCurrent). Anything else — a decode error, an unknown,
 // repeated or case-folded key, trailing bytes, an older version —
-// goes through resumeChecked, whose loose probes pick the error text
-// and which migrates version-1 states.
+// goes through resumeChecked, whose loose probes pick the error text.
 func ResumeSession(data []byte) (*Session, error) {
 	cfg, st, ok := decodeCurrent(data)
 	if !ok {
@@ -145,7 +144,7 @@ func decodeCurrent(data []byte) (cfg Config, st *core.State, ok bool) {
 
 // resumeChecked is the general resume path: a loose version probe,
 // a strict decode of the envelope with the state left raw, then
-// core.DecodeState, which also migrates version-1 states.
+// core.DecodeState.
 func resumeChecked(data []byte) (*Session, error) {
 	if len(data) == 0 {
 		return nil, errors.New("cmabhs: resume: empty snapshot")

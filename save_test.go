@@ -162,8 +162,7 @@ func TestResumeSessionErrors(t *testing.T) {
 // decode for the general path: whitespace after the snapshot is
 // accepted and anything else refused, as json.Unmarshal would; and of
 // a repeated "state" key the last one is resumed. (A version-1
-// snapshot is the third such input; TestV1SnapshotContinuesBitIdentical
-// covers it.)
+// snapshot is the third such input; TestV1SnapshotRefused covers it.)
 func TestResumeSessionEdges(t *testing.T) {
 	save := func(rounds int) []byte {
 		t.Helper()
