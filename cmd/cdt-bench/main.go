@@ -19,12 +19,14 @@
 // with -json — writing one {name, iters, ns_per_op, allocs_per_op,
 // bytes_per_op} record per case. CI archives that file per PR as the
 // performance trajectory. In bench mode -reps repeats every case and
-// reports the per-metric MEDIAN, damping scheduler noise; CI uses
-// -reps 5.
+// reports the per-metric MEDIAN, damping scheduler noise, plus the
+// fastest run's ns/op as min_ns_per_op; CI uses -reps 5.
 //
 // Adding -baseline <file> diffs the fresh run against an archived
 // trajectory and exits non-zero when any case regressed more than
-// -regress-pct percent (default 25) on ns/op or allocs/op:
+// -regress-pct percent (default 25) on time or allocs/op. The time is
+// min_ns_per_op when both trajectories carry it, so an fsync-bound
+// case is not flagged on disk jitter, and ns_per_op otherwise:
 //
 //	cdt-bench -bench -reps 5 -json new.json -baseline old.json
 //
@@ -73,7 +75,7 @@ func run() int {
 		chart    = flag.Bool("chart", false, "render figures as ASCII charts instead of tables")
 		bench    = flag.Bool("bench", false, "run the micro-benchmark set instead of figure experiments (-json writes the trajectory)")
 		baseline = flag.String("baseline", "", "with -bench: compare against this archived trajectory and exit non-zero on regressions")
-		regress  = flag.Float64("regress-pct", 25, "with -baseline: fail when ns/op or allocs/op regress more than this percentage")
+		regress  = flag.Float64("regress-pct", 25, "with -baseline: fail when ns/op (min of -reps when both sides record it) or allocs/op regress more than this percentage")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)

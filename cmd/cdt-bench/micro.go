@@ -26,11 +26,16 @@ import (
 // PR, so a regression shows up as a diff between artifacts rather
 // than an anecdote.
 
-// BenchResult is one benchmark case on the wire.
+// BenchResult is one benchmark case on the wire. MinNsPerOp is the
+// fastest of the -reps runs: a case bound by the disk (an fsync) is
+// slowed by the device's jitter, never sped up, so its minimum moves
+// with the code far more than its median does. Trajectories archived
+// before it was recorded lack it.
 type BenchResult struct {
 	Name        string  `json:"name"`
 	Iters       int     `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	MinNsPerOp  float64 `json:"min_ns_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
@@ -244,6 +249,26 @@ var microBenches = []benchCase{
 			}
 		}
 	}},
+	{"snapshot_resume_m20_k5", func(b *testing.B) {
+		// The restart cost of one job of the broker's read-mostly
+		// workload: ResumeSession of an m20/k5 save at round 150,
+		// the snapshot workload's job size.
+		sess := benchSession(20, 5, 1000)
+		if _, err := sess.AdvanceContext(context.Background(), 149); err != nil {
+			b.Fatal(err)
+		}
+		data, err := sess.Save()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cmabhs.ResumeSession(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}},
 	{"store_save_m20_k5", func(b *testing.B) {
 		// A steady-state snapshot save on the broker's file store: an
 		// m20/k5 save at round 150 (the snapshot workload's job size)
@@ -305,13 +330,14 @@ var microBenches = []benchCase{
 // The results are returned for -baseline comparison. With reps > 1
 // every case runs reps times and each metric is reported as its
 // median across the runs — the trajectory CI diffs is a median-of-5,
-// so one descheduled run cannot fake a regression (or hide one).
+// so one descheduled run cannot fake a regression (or hide one) — and
+// the fastest run's ns/op is kept beside it as min_ns_per_op.
 func runMicroBenches(jsonPath string, reps int) ([]BenchResult, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	results := make([]BenchResult, 0, len(microBenches))
-	fmt.Printf("%-28s %12s %14s %12s %12s\n", "benchmark", "iters", "ns/op", "B/op", "allocs/op")
+	fmt.Printf("%-28s %12s %14s %14s %12s %12s\n", "benchmark", "iters", "ns/op", "min ns/op", "B/op", "allocs/op")
 	for _, bc := range microBenches {
 		runs := make([]BenchResult, reps)
 		for i := range runs {
@@ -326,8 +352,8 @@ func runMicroBenches(jsonPath string, reps int) ([]BenchResult, error) {
 		}
 		br := medianResult(runs)
 		results = append(results, br)
-		fmt.Printf("%-28s %12d %14.1f %12d %12d\n",
-			br.Name, br.Iters, br.NsPerOp, br.BytesPerOp, br.AllocsPerOp)
+		fmt.Printf("%-28s %12d %14.1f %14.1f %12d %12d\n",
+			br.Name, br.Iters, br.NsPerOp, br.MinNsPerOp, br.BytesPerOp, br.AllocsPerOp)
 	}
 	if jsonPath == "" {
 		return results, nil
@@ -347,8 +373,9 @@ func runMicroBenches(jsonPath string, reps int) ([]BenchResult, error) {
 
 // medianResult folds repeated runs of one case into a single record by
 // taking each metric's median independently (a run that was slow on
-// ns/op was not necessarily the allocation outlier). Iters reports the
-// smallest run so the number stays honest about measurement depth.
+// ns/op was not necessarily the allocation outlier), plus the least
+// ns/op. Iters reports the smallest run so the number stays honest
+// about measurement depth.
 func medianResult(runs []BenchResult) BenchResult {
 	out := runs[0]
 	ns := make([]float64, len(runs))
@@ -362,7 +389,8 @@ func medianResult(runs []BenchResult) BenchResult {
 			out.Iters = r.Iters
 		}
 	}
-	out.NsPerOp = median(ns)
+	out.NsPerOp = median(ns) // sorts ns
+	out.MinNsPerOp = ns[0]
 	out.AllocsPerOp = int64(median(allocs))
 	out.BytesPerOp = int64(median(bytesPer))
 	return out

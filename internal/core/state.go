@@ -25,6 +25,7 @@ import (
 	"math"
 
 	"cmabhs/internal/bandit"
+	"cmabhs/internal/jsonw"
 	"cmabhs/internal/market"
 	"cmabhs/internal/numutil"
 )
@@ -206,9 +207,15 @@ func (s *State) validate() error {
 	return nil
 }
 
-// Encode serializes the state as JSON.
+// Encode serializes the state as JSON: json.Marshal(s)'s bytes, or its
+// error, written by WriteJSON.
 func (s *State) Encode() ([]byte, error) {
-	return json.Marshal(s)
+	var w jsonw.W
+	s.WriteJSON(&w)
+	if w.Err != nil {
+		return nil, w.Err
+	}
+	return w.B, nil
 }
 
 // versionError refuses a state of schema version v.

@@ -6,7 +6,7 @@
 //
 // Every layer that used to hand-roll goroutine fan-out now runs here:
 // the experiment harness executes its replicated parameter sweeps
-// through ForEach/Map, the broker service caps concurrently advancing
+// through ForEach, the broker service caps concurrently advancing
 // jobs with a Pool, and the cmd tools get Ctrl-C cancellation that
 // still flushes partial results because the engine stops dispatching
 // at task boundaries instead of tearing work down mid-flight.
@@ -124,23 +124,6 @@ dispatch:
 		fails = append([]error{err}, fails...)
 	}
 	return errors.Join(fails...)
-}
-
-// Map runs fn for every index like ForEach and returns the results in
-// index order, independent of completion order. On error the slice
-// still holds every successfully computed result (failed or unrun
-// slots keep T's zero value).
-func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, n, opts, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
 }
 
 // Pool is a reusable concurrency cap for long-lived services: a

@@ -35,23 +35,6 @@ func TestForEachZeroTasks(t *testing.T) {
 	}
 }
 
-func TestMapDeterministicOrdering(t *testing.T) {
-	// Make early indices finish last: results must still land at
-	// their own index.
-	out, err := Map(context.Background(), 32, Options{Workers: 8}, func(ctx context.Context, i int) (int, error) {
-		time.Sleep(time.Duration(32-i) * time.Millisecond / 8)
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestForEachFirstErrorPropagates(t *testing.T) {
 	const workers = 2
 	boom := errors.New("boom")
@@ -194,21 +177,6 @@ func TestForEachDrainsWorkers(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestMapPartialResultsOnError(t *testing.T) {
-	out, err := Map(context.Background(), 4, Options{Workers: 1}, func(ctx context.Context, i int) (string, error) {
-		if i == 2 {
-			return "", errors.New("no")
-		}
-		return fmt.Sprint(i), nil
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if out[0] != "0" || out[1] != "1" || out[2] != "" {
-		t.Fatalf("partial results %v", out)
 	}
 }
 

@@ -1,4 +1,4 @@
-package server
+package jsonw
 
 import (
 	"math"
@@ -6,7 +6,7 @@ import (
 	"math/bits"
 )
 
-// appendFloat's kernel: the shortest decimal that reads back as the
+// AppendFloat's kernel: the shortest decimal that reads back as the
 // same float64, found by Schubfach (R. Giulietti, "The Schubfach way
 // to render doubles", 2020), and written in encoding/json's layout.
 //
@@ -25,7 +25,8 @@ import (
 // keeps at least two digits), and subnormals get no two-digit rule
 // (Go writes 5e-324 and 8e-323).
 //
-// TestAppendFloatMatchesMarshal and FuzzAppendFloat hold appendFloat
+// TestAppendFloatMatchesMarshal and FuzzAppendFloat (in
+// internal/server, beside the wire bodies they serve) hold AppendFloat
 // to json.Marshal(float64); TestFloorLogs holds the flog helpers to
 // exact math/big floors.
 
@@ -202,13 +203,13 @@ func putDigits(buf *[24]byte, f uint64) int {
 	return i
 }
 
-// appendFloat appends finite x as encoding/json writes a float64: the
+// AppendFloat appends finite x as encoding/json writes a float64: the
 // shortest round-trip digits in 'f' form, or in 'e' form when x is
 // nonzero and |x| < 1e-6 or |x| ≥ 1e21, with an unpadded exponent
 // (e-7, e+21). The digits are laid out in place in one buffer, whose
 // free front holds the "0.00000" or the shifted point, and appended
 // once.
-func appendFloat(b []byte, x float64) []byte {
+func AppendFloat(b []byte, x float64) []byte {
 	u := math.Float64bits(x)
 	if u>>63 != 0 {
 		b = append(b, '-')

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -179,7 +178,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job)
 	sub := j.hub.subscribe(eventBufferSize)
 	defer j.hub.unsubscribe(sub)
 
+	// Each event is framed as prefix, json.Marshal(ev), suffix, built
+	// in one buffer the stream reuses.
+	prefix, suffix := "event: round\ndata: ", "\n\n"
 	if ndjson {
+		prefix, suffix = "", "\n"
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	} else {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -189,6 +192,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job)
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
+	var frame []byte
 	heartbeat := time.NewTicker(eventHeartbeat)
 	defer heartbeat.Stop()
 	ctx := r.Context()
@@ -197,18 +201,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job)
 		case <-ctx.Done():
 			return
 		case ev := <-sub.ch:
-			data, err := json.Marshal(ev)
-			if err != nil {
+			var err error
+			if frame, err = appendEvent(append(frame[:0], prefix...), &ev); err != nil {
 				return
 			}
-			if ndjson {
-				if _, err := fmt.Fprintf(w, "%s\n", data); err != nil {
-					return
-				}
-			} else {
-				if _, err := fmt.Fprintf(w, "event: round\ndata: %s\n\n", data); err != nil {
-					return
-				}
+			frame = append(frame, suffix...)
+			if _, err := w.Write(frame); err != nil {
+				return
 			}
 			flusher.Flush()
 		case <-heartbeat.C:

@@ -70,17 +70,11 @@ func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request, j *job)
 	}
 
 	pts, stride := j.series.Series(since, maxPoints)
-	resp := SeriesResponse{
-		ID:     j.id,
-		Metric: metric,
-		Stride: stride,
-		Rounds: j.series.Rounds(),
-		Points: make([]SeriesPoint, len(pts)),
-	}
-	for i, p := range pts {
-		resp.Points[i] = SeriesPoint{Round: p.Round, Value: value(p)}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	body := getRespBuf()
+	defer body.release()
+	var err error
+	body.b, err = appendSeries(body.b, j.id, metric, stride, j.series.Rounds(), pts, value)
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 // seriesQueryInt parses a non-negative integer query parameter,

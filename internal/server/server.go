@@ -1018,12 +1018,9 @@ func (s *Server) writeJob(w http.ResponseWriter, code int, j *job) {
 	body := getRespBuf()
 	defer body.release()
 	var err error
-	if body.b, err = s.appendJob(body.b, j); err != nil {
-		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
-		return
-	}
+	body.b, err = s.appendJob(body.b, j)
 	body.b = append(body.b, '\n')
-	writeBody(w, code, body)
+	writeEncoded(w, code, body, err)
 }
 
 // appendJob appends j's wire status, rendered and encoded under j.mu,
@@ -1178,7 +1175,11 @@ func (s *Server) handleEstimates(w http.ResponseWriter, r *http.Request, j *job)
 	j.mu.Lock()
 	est := j.sess.Estimates()
 	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, EstimatesResponse{ID: j.id, Estimates: est})
+	body := getRespBuf()
+	defer body.release()
+	var err error
+	body.b, err = appendEstimates(body.b, j.id, est)
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 // SnapshotResponse returns a job's durable snapshot. The Snapshot
@@ -1496,13 +1497,24 @@ type DeleteResponse struct {
 // encoded once into a pooled buffer. Every float reaching here is
 // finite by construction (DESIGN §8): inputs are held to the economics
 // envelope at entry, and JobStatus zeroes the result fields a job does
-// not measure. Job statuses and advance bodies do not come here: they
-// are appended by wire.go's encoders, with the same bytes and the same
-// 500 on a non-finite float.
+// not measure. Job statuses, advance, snapshot, series and estimates
+// bodies do not come here: they are appended by wire.go's encoders,
+// with the same bytes and the same 500 on a non-finite float.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	body := getRespBuf()
 	defer body.release()
 	if err := body.enc.Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	writeBody(w, code, body)
+}
+
+// writeEncoded writes body, which an appender built, as the response;
+// when the appender failed to encode (a NaN or an infinity), it writes
+// the 500 writeJSON writes instead.
+func writeEncoded(w http.ResponseWriter, code int, body *respBuf, err error) {
+	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}

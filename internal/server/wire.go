@@ -1,32 +1,21 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
-	"reflect"
-	"strconv"
 
 	"cmabhs"
+	"cmabhs/internal/jsonw"
+	"cmabhs/internal/telemetry"
 )
 
-// The broker's two hot wire shapes — a played round and a job's
-// status — are written by the hand-written appenders below rather
-// than by reflective encoding/json. The bytes are exactly
-// json.Marshal's (FuzzStatusBody holds them to it):
-//
-//   - A float64 is written by appendFloat's Schubfach kernel
-//     (ftoa.go): the shortest digits that read back as the same
-//     float64, which are the ones strconv's shortest mode picks, in
-//     'f' form, or in 'e' form when the value is nonzero and |x| < 1e-6
-//     or |x| ≥ 1e21, with a one-digit negative exponent unpadded (e-7,
-//     not e-07). Its oracle is json.Marshal(float64):
-//     TestAppendFloatMatchesMarshal and FuzzAppendFloat. NaN and ±Inf
-//     are an encode error, the same *json.UnsupportedValueError.
-//   - A string of printable ASCII that needs no escaping is copied
-//     between quotes; anything else (quotes, backslash, <>&, control
-//     characters, non-ASCII, invalid UTF-8) is handed to encoding/json.
-//   - A nil slice or pointer is null; omitempty fields are left out
-//     when empty.
+// The broker's wire bodies — a played round, a job's status, an
+// advance, a snapshot, a series, a job's estimates and a live event —
+// are written by the appenders below on internal/jsonw's W rather than
+// by reflective encoding/json. The bytes are exactly json.Marshal's
+// (FuzzStatusBody and FuzzServedBodies hold them to it), floats are
+// written by jsonw's Schubfach kernel, and a NaN or an infinity is the
+// same *json.UnsupportedValueError, so a handler answers it with the
+// same 500.
 //
 // A job's status also carries two M-long per-seller vectors, Estimates
 // and PerSellerProfit, of which only the sellers played since the last
@@ -50,26 +39,19 @@ type sellerText struct {
 	est, profit []floatText
 }
 
-// jsonw appends JSON to b. The first value it cannot encode sets err;
-// appending continues, and the caller discards the bytes.
-type jsonw struct {
-	b   []byte
-	err error
-}
-
 // appendRound appends json.Marshal(rd).
 func appendRound(b []byte, rd *cmabhs.Round) ([]byte, error) {
-	w := jsonw{b: b}
-	w.round(rd)
-	return w.b, w.err
+	w := &jsonw.W{B: b}
+	writeRound(w, rd)
+	return w.B, w.Err
 }
 
 // appendStatus appends json.Marshal(st), taking the per-seller vectors
 // through c.
 func appendStatus(b []byte, st *JobStatus, c *sellerText) ([]byte, error) {
-	w := jsonw{b: b}
-	w.status(st, c)
-	return w.b, w.err
+	w := &jsonw.W{B: b}
+	writeStatus(w, st, c)
+	return w.B, w.Err
 }
 
 // appendAdvanceTail finishes an advance body whose played array was
@@ -78,20 +60,20 @@ func appendStatus(b []byte, st *JobStatus, c *sellerText) ([]byte, error) {
 // appends the stop reason, the status and the closing brace. The
 // whole body is json.Marshal(AdvanceResponse{...}) plus a newline.
 func appendAdvanceTail(b []byte, played int, stopped string, st *JobStatus, c *sellerText) ([]byte, error) {
-	w := jsonw{b: b}
+	w := &jsonw.W{B: b}
 	if played == 0 {
-		w.raw("null")
+		w.Raw("null")
 	} else {
-		w.b = append(w.b, ']')
+		w.B = append(w.B, ']')
 	}
 	if stopped != "" {
-		w.raw(`,"stopped":`)
-		w.str(stopped)
+		w.Raw(`,"stopped":`)
+		w.Str(stopped)
 	}
-	w.raw(`,"status":`)
-	w.status(st, c)
-	w.raw("}\n")
-	return w.b, w.err
+	w.Raw(`,"status":`)
+	writeStatus(w, st, c)
+	w.Raw("}\n")
+	return w.B, w.Err
 }
 
 // AdvanceBodyEncoder returns the advance handler's body build as a
@@ -124,267 +106,258 @@ func AdvanceBodyEncoder() func(dst []byte, played []cmabhs.Round, stopped string
 // is already compact and HTML-escaped, so it is copied as it is rather
 // than compacted and escaped once more.
 func appendSnapshotResponse(b []byte, id string, persisted bool, data []byte) []byte {
-	w := jsonw{b: b}
-	w.raw(`{"id":`)
-	w.str(id)
-	w.raw(`,"persisted":`)
-	w.bool(persisted)
-	w.raw(`,"snapshot":`)
-	w.b = append(w.b, data...)
-	w.raw("}\n")
-	return w.b
+	w := jsonw.W{B: b}
+	w.Raw(`{"id":`)
+	w.Str(id)
+	w.Raw(`,"persisted":`)
+	w.Bool(persisted)
+	w.Raw(`,"snapshot":`)
+	w.B = append(w.B, data...)
+	w.Raw("}\n")
+	return w.B
 }
 
-func (w *jsonw) round(rd *cmabhs.Round) {
-	w.raw(`{"Round":`)
-	w.int(int64(rd.Round))
-	w.raw(`,"Selected":`)
-	w.ints(rd.Selected)
-	w.raw(`,"ConsumerPrice":`)
-	w.float(rd.ConsumerPrice)
-	w.raw(`,"PlatformPrice":`)
-	w.float(rd.PlatformPrice)
-	w.raw(`,"SensingTimes":`)
-	w.floats(rd.SensingTimes)
-	w.raw(`,"TotalTime":`)
-	w.float(rd.TotalTime)
-	w.raw(`,"ConsumerProfit":`)
-	w.float(rd.ConsumerProfit)
-	w.raw(`,"PlatformProfit":`)
-	w.float(rd.PlatformProfit)
-	w.raw(`,"SellerProfits":`)
-	w.floats(rd.SellerProfits)
-	w.raw(`,"NoTrade":`)
-	w.bool(rd.NoTrade)
-	w.raw(`,"Realized":`)
-	w.float(rd.Realized)
-	w.raw(`,"AggregationRMSE":`)
-	w.float(rd.AggregationRMSE)
-	w.b = append(w.b, '}')
+// appendSeries appends the body writeJSON writes for a SeriesResponse
+// of id, metric, stride and rounds whose points are value(p) at each
+// of pts' rounds: json.Marshal's bytes plus a newline.
+func appendSeries(b []byte, id, metric string, stride, rounds int, pts []telemetry.Point, value func(telemetry.Point) float64) ([]byte, error) {
+	w := jsonw.W{B: b}
+	w.Raw(`{"id":`)
+	w.Str(id)
+	w.Raw(`,"metric":`)
+	w.Str(metric)
+	w.Raw(`,"stride":`)
+	w.Int(int64(stride))
+	w.Raw(`,"rounds":`)
+	w.Int(int64(rounds))
+	w.Raw(`,"points":[`)
+	for i := range pts {
+		if i > 0 {
+			w.B = append(w.B, ',')
+		}
+		w.Raw(`{"round":`)
+		w.Int(int64(pts[i].Round))
+		w.Raw(`,"value":`)
+		w.Float(value(pts[i]))
+		w.B = append(w.B, '}')
+	}
+	w.Raw("]}\n")
+	return w.B, w.Err
 }
 
-func (w *jsonw) status(st *JobStatus, c *sellerText) {
-	w.raw(`{"id":`)
-	w.str(st.ID)
-	w.raw(`,"sellers":`)
-	w.int(int64(st.Sellers))
-	w.raw(`,"k":`)
-	w.int(int64(st.K))
-	w.raw(`,"rounds":`)
-	w.int(int64(st.Rounds))
-	w.raw(`,"next_round":`)
-	w.int(int64(st.NextRound))
-	w.raw(`,"done":`)
-	w.bool(st.Done)
+// appendEstimates appends the body writeJSON writes for
+// EstimatesResponse{id, est}.
+func appendEstimates(b []byte, id string, est []float64) ([]byte, error) {
+	w := jsonw.W{B: b}
+	w.B = append(w.B, '{')
+	if id != "" {
+		w.Raw(`"id":`)
+		w.Str(id)
+		w.B = append(w.B, ',')
+	}
+	w.Raw(`"estimates":`)
+	w.Floats(est)
+	w.Raw("}\n")
+	return w.B, w.Err
+}
+
+// appendEvent appends json.Marshal(ev).
+func appendEvent(b []byte, ev *JobEvent) ([]byte, error) {
+	w := jsonw.W{B: b}
+	w.Raw(`{"job_id":`)
+	w.Str(ev.JobID)
+	w.Raw(`,"round":`)
+	w.Int(int64(ev.Round))
+	w.Raw(`,"selected":`)
+	w.Ints(ev.Selected)
+	w.Raw(`,"consumer_price":`)
+	w.Float(ev.ConsumerPrice)
+	w.Raw(`,"platform_price":`)
+	w.Float(ev.PlatformPrice)
+	w.Raw(`,"consumer_profit":`)
+	w.Float(ev.ConsumerProfit)
+	w.Raw(`,"platform_profit":`)
+	w.Float(ev.PlatformProfit)
+	if ev.NoTrade {
+		w.Raw(`,"no_trade":true`)
+	}
+	if len(ev.FailedSellers) > 0 {
+		w.Raw(`,"failed_sellers":`)
+		w.Ints(ev.FailedSellers)
+	}
+	w.Raw(`,"regret":`)
+	w.Float(ev.Regret)
+	w.Raw(`,"expected_revenue":`)
+	w.Float(ev.ExpectedRevenue)
+	w.Raw(`,"consumer_spend":`)
+	w.Float(ev.ConsumerSpend)
+	w.B = append(w.B, '}')
+	return w.B, w.Err
+}
+
+func writeRound(w *jsonw.W, rd *cmabhs.Round) {
+	w.Raw(`{"Round":`)
+	w.Int(int64(rd.Round))
+	w.Raw(`,"Selected":`)
+	w.Ints(rd.Selected)
+	w.Raw(`,"ConsumerPrice":`)
+	w.Float(rd.ConsumerPrice)
+	w.Raw(`,"PlatformPrice":`)
+	w.Float(rd.PlatformPrice)
+	w.Raw(`,"SensingTimes":`)
+	w.Floats(rd.SensingTimes)
+	w.Raw(`,"TotalTime":`)
+	w.Float(rd.TotalTime)
+	w.Raw(`,"ConsumerProfit":`)
+	w.Float(rd.ConsumerProfit)
+	w.Raw(`,"PlatformProfit":`)
+	w.Float(rd.PlatformProfit)
+	w.Raw(`,"SellerProfits":`)
+	w.Floats(rd.SellerProfits)
+	w.Raw(`,"NoTrade":`)
+	w.Bool(rd.NoTrade)
+	w.Raw(`,"Realized":`)
+	w.Float(rd.Realized)
+	w.Raw(`,"AggregationRMSE":`)
+	w.Float(rd.AggregationRMSE)
+	w.B = append(w.B, '}')
+}
+
+func writeStatus(w *jsonw.W, st *JobStatus, c *sellerText) {
+	w.Raw(`{"id":`)
+	w.Str(st.ID)
+	w.Raw(`,"sellers":`)
+	w.Int(int64(st.Sellers))
+	w.Raw(`,"k":`)
+	w.Int(int64(st.K))
+	w.Raw(`,"rounds":`)
+	w.Int(int64(st.Rounds))
+	w.Raw(`,"next_round":`)
+	w.Int(int64(st.NextRound))
+	w.Raw(`,"done":`)
+	w.Bool(st.Done)
 	if st.Stopped != "" {
-		w.raw(`,"stopped":`)
-		w.str(st.Stopped)
+		w.Raw(`,"stopped":`)
+		w.Str(st.Stopped)
 	}
-	w.raw(`,"result":`)
-	w.result(st.Result, c)
-	w.raw(`,"metrics":{"rounds_advanced":`)
-	w.int(st.Metrics.RoundsAdvanced)
-	w.raw(`,"rounds_per_sec":`)
-	w.float(st.Metrics.RoundsPerSec)
-	w.raw(`,"last_advance_seconds":`)
-	w.float(st.Metrics.LastAdvanceSeconds)
-	w.raw(`},"links":{"self":`)
-	w.str(st.Links.Self)
-	w.raw(`,"snapshot":`)
-	w.str(st.Links.Snapshot)
-	w.raw(`,"metrics":`)
-	w.str(st.Links.Metrics)
+	w.Raw(`,"result":`)
+	writeResult(w, st.Result, c)
+	w.Raw(`,"metrics":{"rounds_advanced":`)
+	w.Int(st.Metrics.RoundsAdvanced)
+	w.Raw(`,"rounds_per_sec":`)
+	w.Float(st.Metrics.RoundsPerSec)
+	w.Raw(`,"last_advance_seconds":`)
+	w.Float(st.Metrics.LastAdvanceSeconds)
+	w.Raw(`},"links":{"self":`)
+	w.Str(st.Links.Self)
+	w.Raw(`,"snapshot":`)
+	w.Str(st.Links.Snapshot)
+	w.Raw(`,"metrics":`)
+	w.Str(st.Links.Metrics)
 	if st.Links.Owner != "" {
-		w.raw(`,"owner":`)
-		w.str(st.Links.Owner)
+		w.Raw(`,"owner":`)
+		w.Str(st.Links.Owner)
 	}
-	w.b = append(w.b, '}')
+	w.B = append(w.B, '}')
 	if l := st.Lease; l != nil {
-		w.raw(`,"lease":{"owner":`)
-		w.str(l.Owner)
-		w.raw(`,"epoch":`)
-		w.int(l.Epoch)
-		w.raw(`,"expires_in_s":`)
-		w.float(l.ExpiresInSeconds)
-		w.b = append(w.b, '}')
+		w.Raw(`,"lease":{"owner":`)
+		w.Str(l.Owner)
+		w.Raw(`,"epoch":`)
+		w.Int(l.Epoch)
+		w.Raw(`,"expires_in_s":`)
+		w.Float(l.ExpiresInSeconds)
+		w.B = append(w.B, '}')
 	}
-	w.b = append(w.b, '}')
+	w.B = append(w.B, '}')
 }
 
-func (w *jsonw) result(r *cmabhs.Result, c *sellerText) {
+func writeResult(w *jsonw.W, r *cmabhs.Result, c *sellerText) {
 	if r == nil {
-		w.raw("null")
+		w.Raw("null")
 		return
 	}
-	w.raw(`{"Policy":`)
-	w.str(r.Policy)
-	w.raw(`,"RealizedRevenue":`)
-	w.float(r.RealizedRevenue)
-	w.raw(`,"ExpectedRevenue":`)
-	w.float(r.ExpectedRevenue)
-	w.raw(`,"Regret":`)
-	w.float(r.Regret)
-	w.raw(`,"RegretBound":`)
-	w.float(r.RegretBound)
-	w.raw(`,"ConsumerProfit":`)
-	w.float(r.ConsumerProfit)
-	w.raw(`,"PlatformProfit":`)
-	w.float(r.PlatformProfit)
-	w.raw(`,"SellerProfit":`)
-	w.float(r.SellerProfit)
-	w.raw(`,"Rounds":`)
-	w.int(int64(r.Rounds))
-	w.raw(`,"ConsumerSpend":`)
-	w.float(r.ConsumerSpend)
-	w.raw(`,"AggregationRMSE":`)
-	w.float(r.AggregationRMSE)
-	w.raw(`,"DynamicRegret":`)
-	w.float(r.DynamicRegret)
-	w.raw(`,"Stopped":`)
-	w.str(r.Stopped)
-	w.raw(`,"Estimates":`)
-	w.cachedFloats(r.Estimates, &c.est)
-	w.raw(`,"PerSellerProfit":`)
-	w.cachedFloats(r.PerSellerProfit, &c.profit)
-	w.raw(`,"PerRound":`)
-	if r.PerRound == nil {
-		w.raw("null")
-	} else {
-		w.b = append(w.b, '[')
-		for i := range r.PerRound {
-			if i > 0 {
-				w.b = append(w.b, ',')
-			}
-			w.round(&r.PerRound[i])
-		}
-		w.b = append(w.b, ']')
-	}
-	w.raw(`,"Checkpoints":`)
-	if r.Checkpoints == nil {
-		w.raw("null")
-	} else {
-		w.b = append(w.b, '[')
-		for i := range r.Checkpoints {
-			if i > 0 {
-				w.b = append(w.b, ',')
-			}
-			w.checkpoint(&r.Checkpoints[i])
-		}
-		w.b = append(w.b, ']')
-	}
-	w.b = append(w.b, '}')
+	w.Raw(`{"Policy":`)
+	w.Str(r.Policy)
+	w.Raw(`,"RealizedRevenue":`)
+	w.Float(r.RealizedRevenue)
+	w.Raw(`,"ExpectedRevenue":`)
+	w.Float(r.ExpectedRevenue)
+	w.Raw(`,"Regret":`)
+	w.Float(r.Regret)
+	w.Raw(`,"RegretBound":`)
+	w.Float(r.RegretBound)
+	w.Raw(`,"ConsumerProfit":`)
+	w.Float(r.ConsumerProfit)
+	w.Raw(`,"PlatformProfit":`)
+	w.Float(r.PlatformProfit)
+	w.Raw(`,"SellerProfit":`)
+	w.Float(r.SellerProfit)
+	w.Raw(`,"Rounds":`)
+	w.Int(int64(r.Rounds))
+	w.Raw(`,"ConsumerSpend":`)
+	w.Float(r.ConsumerSpend)
+	w.Raw(`,"AggregationRMSE":`)
+	w.Float(r.AggregationRMSE)
+	w.Raw(`,"DynamicRegret":`)
+	w.Float(r.DynamicRegret)
+	w.Raw(`,"Stopped":`)
+	w.Str(r.Stopped)
+	w.Raw(`,"Estimates":`)
+	writeCachedFloats(w, r.Estimates, &c.est)
+	w.Raw(`,"PerSellerProfit":`)
+	writeCachedFloats(w, r.PerSellerProfit, &c.profit)
+	w.Raw(`,"PerRound":`)
+	jsonw.Array(w, r.PerRound, writeRound)
+	w.Raw(`,"Checkpoints":`)
+	jsonw.Array(w, r.Checkpoints, writeCheckpoint)
+	w.B = append(w.B, '}')
 }
 
-func (w *jsonw) checkpoint(cp *cmabhs.Checkpoint) {
-	w.raw(`{"Round":`)
-	w.int(int64(cp.Round))
-	w.raw(`,"RealizedRevenue":`)
-	w.float(cp.RealizedRevenue)
-	w.raw(`,"ExpectedRevenue":`)
-	w.float(cp.ExpectedRevenue)
-	w.raw(`,"Regret":`)
-	w.float(cp.Regret)
-	w.raw(`,"ConsumerProfit":`)
-	w.float(cp.ConsumerProfit)
-	w.raw(`,"PlatformProfit":`)
-	w.float(cp.PlatformProfit)
-	w.raw(`,"SellerProfit":`)
-	w.float(cp.SellerProfit)
-	w.b = append(w.b, '}')
+func writeCheckpoint(w *jsonw.W, cp *cmabhs.Checkpoint) {
+	w.Raw(`{"Round":`)
+	w.Int(int64(cp.Round))
+	w.Raw(`,"RealizedRevenue":`)
+	w.Float(cp.RealizedRevenue)
+	w.Raw(`,"ExpectedRevenue":`)
+	w.Float(cp.ExpectedRevenue)
+	w.Raw(`,"Regret":`)
+	w.Float(cp.Regret)
+	w.Raw(`,"ConsumerProfit":`)
+	w.Float(cp.ConsumerProfit)
+	w.Raw(`,"PlatformProfit":`)
+	w.Float(cp.PlatformProfit)
+	w.Raw(`,"SellerProfit":`)
+	w.Float(cp.SellerProfit)
+	w.B = append(w.B, '}')
 }
 
-func (w *jsonw) raw(s string) { w.b = append(w.b, s...) }
-
-func (w *jsonw) int(n int64) { w.b = strconv.AppendInt(w.b, n, 10) }
-
-func (w *jsonw) bool(v bool) { w.b = strconv.AppendBool(w.b, v) }
-
-func (w *jsonw) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			w.b = append(w.b, q...)
-			return
-		}
-	}
-	w.b = append(w.b, '"')
-	w.b = append(w.b, s...)
-	w.b = append(w.b, '"')
-}
-
-func (w *jsonw) float(x float64) {
-	if !finite(x) {
-		w.fail(x)
-		return
-	}
-	w.b = appendFloat(w.b, x)
-}
-
-func (w *jsonw) ints(xs []int) {
-	if xs == nil {
-		w.raw("null")
-		return
-	}
-	w.b = append(w.b, '[')
-	for i, x := range xs {
-		if i > 0 {
-			w.b = append(w.b, ',')
-		}
-		w.b = strconv.AppendInt(w.b, int64(x), 10)
-	}
-	w.b = append(w.b, ']')
-}
-
-func (w *jsonw) floats(xs []float64) {
-	if xs == nil {
-		w.raw("null")
-		return
-	}
-	w.b = append(w.b, '[')
-	for i, x := range xs {
-		if i > 0 {
-			w.b = append(w.b, ',')
-		}
-		w.float(x)
-	}
-	w.b = append(w.b, ']')
-}
-
-// cachedFloats writes xs like floats, reusing each entry's text from
+// writeCachedFloats writes xs like jsonw.W.Floats, reusing each entry's text from
 // *slots while its float bits are unchanged. The slots are resized
 // (and so emptied) when the vector's length changes.
-func (w *jsonw) cachedFloats(xs []float64, slots *[]floatText) {
+func writeCachedFloats(w *jsonw.W, xs []float64, slots *[]floatText) {
 	if xs == nil {
-		w.raw("null")
+		w.Raw("null")
 		return
 	}
 	if len(*slots) != len(xs) {
 		*slots = make([]floatText, len(xs))
 	}
 	cache := *slots
-	w.b = append(w.b, '[')
+	w.B = append(w.B, '[')
 	for i, x := range xs {
 		if i > 0 {
-			w.b = append(w.b, ',')
+			w.B = append(w.B, ',')
 		}
 		s := &cache[i]
 		if bits := math.Float64bits(x); s.n == 0 || s.bits != bits {
-			if !finite(x) {
+			if !jsonw.Finite(x) {
 				s.n = 0
-				w.fail(x)
+				w.Fail(x)
 				continue
 			}
-			s.bits, s.n = bits, uint8(len(appendFloat(s.text[:0], x)))
+			s.bits, s.n = bits, uint8(len(jsonw.AppendFloat(s.text[:0], x)))
 		}
-		w.b = append(w.b, s.text[:s.n]...)
+		w.B = append(w.B, s.text[:s.n]...)
 	}
-	w.b = append(w.b, ']')
+	w.B = append(w.B, ']')
 }
-
-func (w *jsonw) fail(x float64) {
-	if w.err == nil {
-		w.err = &json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)}
-	}
-}
-
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

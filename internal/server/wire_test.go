@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
-	"math/big"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +16,9 @@ import (
 	"testing"
 
 	"cmabhs"
+	"cmabhs/internal/jsonw"
+	"cmabhs/internal/jsonw/jsonwtest"
+	"cmabhs/internal/telemetry"
 )
 
 // fuzzSrc draws the values of a fuzzed round or status from the fuzz
@@ -424,7 +426,7 @@ func TestStatusCacheConcurrent(t *testing.T) {
 	}
 }
 
-// floatCases are the edge inputs appendFloat is held to json.Marshal
+// floatCases are the edge inputs jsonw.AppendFloat is held to json.Marshal
 // on: every power of two from 2^-1074 to 2^1023 and every power of ten
 // from 1e-324 to 1e308, each with its neighbours one ulp away; the
 // subnormals with significands below 2^12; the integers around 2^53;
@@ -454,9 +456,9 @@ func floatCases() []float64 {
 	return append(xs, 0, math.MaxFloat64)
 }
 
-// sameAsMarshalFloat fails t unless appendFloat writes json.Marshal's
+// sameAsMarshalFloat fails t unless jsonw.AppendFloat writes json.Marshal's
 // bytes for x and for -x. Values json.Marshal refuses (NaN, ±Inf) are
-// skipped: appendFloat is only called on finite values.
+// skipped: jsonw.AppendFloat is only called on finite values.
 func sameAsMarshalFloat(t *testing.T, x float64) {
 	t.Helper()
 	for _, v := range []float64{x, -x} {
@@ -464,8 +466,8 @@ func sameAsMarshalFloat(t *testing.T, x float64) {
 		if err != nil {
 			continue
 		}
-		if got := appendFloat([]byte("prefix"), v); string(got) != "prefix"+string(want) {
-			t.Fatalf("appendFloat(%#016x) = %s, json.Marshal = %s", math.Float64bits(v), got[len("prefix"):], want)
+		if got := jsonw.AppendFloat([]byte("prefix"), v); string(got) != "prefix"+string(want) {
+			t.Fatalf("AppendFloat(%#016x) = %s, json.Marshal = %s", math.Float64bits(v), got[len("prefix"):], want)
 		}
 	}
 }
@@ -494,7 +496,7 @@ func TestAppendFloatMatchesMarshal(t *testing.T) {
 	}
 }
 
-// FuzzAppendFloat: for any float64 bits, appendFloat writes
+// FuzzAppendFloat: for any float64 bits, jsonw.AppendFloat writes
 // json.Marshal's bytes.
 func FuzzAppendFloat(f *testing.F) {
 	for _, x := range []float64{0, 5e-324, 0x1p-1022, 1e-7, 1e-6, 0.1, 1.0000000000000002, 123.456, 1 << 53, 1e21, 1e23, math.MaxFloat64} {
@@ -505,73 +507,41 @@ func FuzzAppendFloat(f *testing.F) {
 	})
 }
 
-// TestFloorLogs holds the kernel's three floor-log approximations to
-// exact math/big floors for every |e| ≤ 4096, which covers every
-// argument the kernel and its table pass them (q in [-1074, 971], -k
-// in [-292, 324]).
-func TestFloorLogs(t *testing.T) {
-	t.Parallel()
-	const n = 4096
-	pow10 := make([]*big.Int, n+2)
-	pow10[0] = big.NewInt(1)
-	for i := 1; i < len(pow10); i++ {
-		pow10[i] = new(big.Int).Mul(pow10[i-1], big.NewInt(10))
-	}
-	// cmp compares m · 2^a with 10^b, exactly.
-	cmp := func(m int64, a, b int) int {
-		l, r := big.NewInt(m), big.NewInt(1)
-		if a >= 0 {
-			l.Lsh(l, uint(a))
-		} else {
-			r.Lsh(r, uint(-a))
+// FuzzServedBodies holds the series, estimates and live-event
+// appenders to encoding/json on filled values: each writes
+// json.Marshal's bytes (plus the newline writeJSON adds to a body), or
+// fails with its error.
+func FuzzServedBodies(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xfe, 0})
+	f.Add(bytes.Repeat([]byte{1, 5, 9, 200, 0xd3}, 20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := jsonwtest.NewSource(data)
+		var series struct {
+			ID, Metric    string
+			Stride, Count int
+			Points        []telemetry.Point
 		}
-		if b >= 0 {
-			r.Mul(r, pow10[b])
-		} else {
-			l.Mul(l, pow10[-b])
+		src.Fill(&series)
+		metrics := []string{"regret", "revenue", "spend", "no_trade", "failed"}
+		metric := metrics[int(src.Byte())%len(metrics)]
+		value := seriesMetrics[metric]
+		resp := SeriesResponse{ID: series.ID, Metric: series.Metric, Stride: series.Stride, Rounds: series.Count,
+			Points: make([]SeriesPoint, len(series.Points))}
+		for i, p := range series.Points {
+			resp.Points[i] = SeriesPoint{Round: p.Round, Value: value(p)}
 		}
-		return l.Cmp(r)
-	}
-	for e := -n; e <= n; e++ {
-		// 10^k ≤ 2^e < 10^(k+1)
-		if k := flog10pow2(e); cmp(1, e, k) < 0 || cmp(1, e, k+1) >= 0 {
-			t.Fatalf("flog10pow2(%d) = %d, not floor(log10(2^%d))", e, k, e)
-		}
-		// 10^k ≤ 3 · 2^(e-2) < 10^(k+1)
-		if k := flog10threeQuartersPow2(e); cmp(3, e-2, k) < 0 || cmp(3, e-2, k+1) >= 0 {
-			t.Fatalf("flog10threeQuartersPow2(%d) = %d, not floor(log10(3/4 · 2^%d))", e, k, e)
-		}
-		// 2^k ≤ 10^e < 2^(k+1)
-		if k := flog2pow10(e); cmp(1, k, e) > 0 || cmp(1, k+1, e) <= 0 {
-			t.Fatalf("flog2pow10(%d) = %d, not floor(log2(10^%d))", e, k, e)
-		}
-	}
-}
+		got, err := appendSeries(nil, series.ID, series.Metric, series.Stride, series.Count, series.Points, value)
+		sameAsMarshal(t, "series", got, err, resp, "\n")
 
-var floatSink []byte
+		var est EstimatesResponse
+		src.Fill(&est)
+		got, err = appendEstimates(nil, est.ID, est.Estimates)
+		sameAsMarshal(t, "estimates", got, err, est, "\n")
 
-// BenchmarkAppendFloat times the float kernel against strconv's
-// shortest 'f' form, the call it replaced, on 1024 values of the
-// broker's kind: 16–17 significant digits, magnitudes 2^-6 to 2^6.
-func BenchmarkAppendFloat(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1024)
-	for i := range xs {
-		xs[i] = math.Ldexp(1+r.Float64(), r.Intn(12)-6)
-	}
-	for _, bc := range []struct {
-		name string
-		fn   func([]byte, float64) []byte
-	}{
-		{"kernel", appendFloat},
-		{"strconv", func(b []byte, x float64) []byte { return strconv.AppendFloat(b, x, 'f', -1, 64) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			buf := make([]byte, 0, 32)
-			for i := 0; i < b.N; i++ {
-				buf = bc.fn(buf[:0], xs[i%len(xs)])
-			}
-			floatSink = buf
-		})
-	}
+		var ev JobEvent
+		src.Fill(&ev)
+		got, err = appendEvent(nil, &ev)
+		sameAsMarshal(t, "event", got, err, ev, "")
+	})
 }

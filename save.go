@@ -14,10 +14,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"strconv"
 
 	"cmabhs/internal/core"
+	"cmabhs/internal/jsonw"
 )
 
 // SnapshotVersion is the schema version of the session snapshot
@@ -37,27 +36,39 @@ type sessionSnapshot struct {
 // state. The session remains live and may keep stepping; the snapshot
 // is an independent deep copy.
 //
-// The envelope is assembled by hand around the two marshalled values:
-// each is already compact and HTML-escaped, which is all json.Marshal
-// of sessionSnapshot would do to them again, so the bytes are the same
-// (testdata/session_save.sha256 pins them).
+// The envelope, the configuration and the state are appended in one
+// buffer by internal/jsonw's writer, byte for byte json.Marshal of the
+// envelope holding both (testdata/session_save.sha256 pins them,
+// FuzzSaveEncoding holds the writers to encoding/json). A NaN or an
+// infinity is json.Marshal's error, the state's before the config's.
 func (s *Session) Save() ([]byte, error) {
-	st, err := s.mech.Snapshot().Encode()
+	// A save is about 210 bytes a seller plus 1.2 KB; a windowed
+	// policy's batches or KeepRounds' records grow the buffer past it.
+	buf := make([]byte, 0, 1536+224*len(s.cfg.Sellers))
+	data, err := appendSnapshot(buf, &s.cfg, s.mech.Snapshot())
 	if err != nil {
 		return nil, fmt.Errorf("cmabhs: save: %w", err)
 	}
-	cfg, err := json.Marshal(s.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("cmabhs: save: %w", err)
+	return data, nil
+}
+
+// appendSnapshot appends json.Marshal of the sessionSnapshot holding
+// cfg and st, or fails with json.Marshal's error.
+func appendSnapshot(b []byte, cfg *Config, st *core.State) ([]byte, error) {
+	w := jsonw.W{B: b}
+	w.Raw(`{"version":`)
+	w.Int(SnapshotVersion)
+	w.Raw(`,"config":`)
+	writeConfig(&w, cfg)
+	cfgErr := w.Err
+	w.Err = nil
+	w.Raw(`,"state":`)
+	st.WriteJSON(&w)
+	w.B = append(w.B, '}')
+	if w.Err == nil {
+		w.Err = cfgErr
 	}
-	data := make([]byte, 0, len(cfg)+len(st)+48) // 48 holds the keys and the version
-	data = append(data, `{"version":`...)
-	data = strconv.AppendInt(data, SnapshotVersion, 10)
-	data = append(data, `,"config":`...)
-	data = append(data, cfg...)
-	data = append(data, `,"state":`...)
-	data = append(data, st...)
-	return append(data, '}'), nil
+	return w.B, w.Err
 }
 
 // ResumeSession rebuilds a live Session from a Save snapshot. The
@@ -65,10 +76,11 @@ func (s *Session) Save() ([]byte, error) {
 // that violates its invariants is an error — never a silently zeroed
 // session.
 //
-// A snapshot in the shape Save writes is read in one strict pass
-// (decodeCurrent). Anything else — a decode error, an unknown,
-// repeated or case-folded key, trailing bytes, an older version —
-// goes through resumeChecked, whose loose probes pick the error text.
+// A snapshot in the shape Save writes is read in one strict pass by
+// decodeCurrent, the reader of the same codec Save writes with.
+// Anything else — a decode error, an unknown, repeated or case-folded
+// key, an escaped string, trailing bytes, an older version — goes
+// through resumeChecked, whose loose probes pick the error text.
 func ResumeSession(data []byte) (*Session, error) {
 	cfg, st, ok := decodeCurrent(data)
 	if !ok {
@@ -85,61 +97,27 @@ func ResumeSession(data []byte) (*Session, error) {
 	return &Session{mech: mech, cfg: cfg}, nil
 }
 
-// decodeCurrent decodes a snapshot of exactly the shape Save writes:
-// one top-level object whose keys are version, config and state, each
-// spelled exactly and present once, followed by nothing but
-// whitespace, with both versions current. Each value is decoded
-// straight into its type by one strict decoder. ok is false for any
-// other input, which then takes resumeChecked; for every input taking
-// this path resumeChecked reaches the same session or error.
+// decodeCurrent decodes a snapshot of exactly the shape Save writes,
+// with internal/jsonw's strict reader: the keys version, config and
+// state in that order, every nested key in Save's order and spelling,
+// strings of plain ASCII, numbers in JSON's grammar and their field's
+// range, both versions current, and nothing after but whitespace. ok
+// is false for any other input, which then takes resumeChecked; for
+// every input taking this path resumeChecked reaches the same session
+// or error (FuzzResumeSession holds the two together).
 func decodeCurrent(data []byte) (cfg Config, st *core.State, ok bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return cfg, nil, false
+	r := jsonw.NewReader(data)
+	r.Open()
+	r.Key("version")
+	if r.Int() != SnapshotVersion {
+		r.Fail()
 	}
-	var (
-		version int
-		state   core.State
-		seen    [3]bool
-	)
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return cfg, nil, false
-		}
-		var (
-			i int
-			v any
-		)
-		switch key, _ := tok.(string); key {
-		case "version":
-			i, v = 0, &version
-		case "config":
-			i, v = 1, &cfg
-		case "state":
-			i, v = 2, &state
-		default:
-			return cfg, nil, false
-		}
-		if seen[i] {
-			return cfg, nil, false
-		}
-		seen[i] = true
-		if err := dec.Decode(v); err != nil {
-			return cfg, nil, false
-		}
-	}
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('}') {
-		return cfg, nil, false
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return cfg, nil, false
-	}
-	if seen != [3]bool{true, true, true} || version != SnapshotVersion || state.Version != core.StateVersion {
-		return cfg, nil, false
-	}
-	return cfg, &state, true
+	r.Key("config")
+	readConfig(r, &cfg)
+	r.Key("state")
+	st = core.ReadState(r)
+	r.Close()
+	return cfg, st, r.End()
 }
 
 // resumeChecked is the general resume path: a loose version probe,
