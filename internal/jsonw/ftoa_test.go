@@ -78,47 +78,3 @@ func BenchmarkAppendFloat(b *testing.B) {
 		})
 	}
 }
-
-// TestFloatMatchesStrconv holds R's float fast path to
-// strconv.ParseFloat: R.Float reads the same float64. The inputs are
-// the shortest and the 17-digit forms of edge values, random bit
-// patterns and broker-like values, in 'f', 'e' and 'g' layout, plus
-// random digit strings with random exponents; all but the longest go
-// through atof.
-func TestFloatMatchesStrconv(t *testing.T) {
-	t.Parallel()
-	check := func(s string) {
-		t.Helper()
-		want, err := strconv.ParseFloat(s, 64)
-		r := NewReader([]byte(s))
-		got := r.Float()
-		if ok := r.End(); ok != (err == nil) || ok && math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("R.Float(%q) = %v (%#x), ok %v; strconv: %v (%#x), %v", s, got, math.Float64bits(got), ok, want, math.Float64bits(want), err)
-		}
-	}
-	r := rand.New(rand.NewSource(1))
-	xs := []float64{0, 5e-324, 0x1p-1022, 1e-7, 1e-6, 0.1, 1.0000000000000002, 123.456, 1 << 53, 1e21, 1e23, math.MaxFloat64}
-	for i := 0; i < 50_000; i++ {
-		xs = append(xs, math.Float64frombits(r.Uint64()), math.Ldexp(1+r.Float64(), r.Intn(40)-20))
-	}
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		for _, f := range []byte{'f', 'e', 'g'} {
-			check(strconv.FormatFloat(x, f, -1, 64))
-			check(strconv.FormatFloat(-x, f, 16, 64))
-		}
-	}
-	const digits = "0123456789"
-	for i := 0; i < 50_000; i++ {
-		b := []byte{digits[1+r.Intn(9)]}
-		for n := r.Intn(20); n > 0; n-- {
-			b = append(b, digits[r.Intn(10)])
-		}
-		if len(b) > 1 && r.Intn(2) == 0 {
-			b = append(b[:1], append([]byte{'.'}, b[1:]...)...)
-		}
-		check(string(b) + "e" + strconv.Itoa(r.Intn(700)-350))
-	}
-}

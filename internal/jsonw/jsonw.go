@@ -20,8 +20,9 @@
 // The oracles are encoding/json and strconv themselves:
 // FuzzSaveEncoding (the Save envelope, Config and core.State, both
 // ways), FuzzResumeSession (R's refusals), FuzzStatusBody and
-// FuzzServedBodies (the broker's bodies), FuzzAppendFloat and
-// TestFloatMatchesStrconv (floats, both ways).
+// FuzzServedBodies (the broker's bodies) and FuzzAppendFloat (floats).
+// R checks a number's grammar itself and leaves its value to
+// strconv.ParseInt, ParseUint or ParseFloat on the literal's bytes.
 package jsonw
 
 import (

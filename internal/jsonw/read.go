@@ -19,8 +19,7 @@ import (
 //
 // What R accepts it decodes as encoding/json does into fresh values:
 // a number to what strconv.ParseInt, ParseUint or ParseFloat returns
-// for its literal (atof.go's fast path gives the same float), [] as an
-// empty non-nil slice, null as a nil slice or pointer, []byte from
+// for its literal, [] as an empty non-nil slice, null as a nil slice or pointer, []byte from
 // standard base64. Whitespace between tokens is skipped.
 type R struct {
 	data  []byte
@@ -148,11 +147,15 @@ func (r *R) Null() bool {
 }
 
 // array reads the '[' of an array and returns a capacity hint for
-// its elements and the length of the text the hint counts over. For
-// elements that are not arrays the text runs to the first ']', and the
-// hint is one more than its commas, or than its "},{" when the
-// elements are objects (which Save writes without arrays in them).
-// For each element, call more with the number read so far.
+// its elements and the length of the text the hint counts over. The
+// text runs to the first ']', and the hint is one more than its
+// commas, or than its "},{" when the elements are objects. That is
+// the element count for an array of scalars, or of objects with no
+// array inside (a seller, a checkpoint). An object that holds an
+// array (a played round) ends the text inside the first element, so
+// the hint is 1 and the slice grows by append. The hint is 0 for an
+// array of arrays. For each element, call more with the number read
+// so far.
 func (r *R) array() (n, span int) {
 	r.byte('[')
 	if r.bad {
@@ -189,88 +192,51 @@ func (r *R) more(n int) bool {
 	return !r.bad
 }
 
-// num is a literal read by number: its bytes, and its value as
-// ±m·10^e when m holds all its significant digits (exact).
-type num struct {
-	lit             []byte
-	m               uint64
-	e               int
-	neg             bool
-	exact, integral bool // m holds every digit; no fraction or exponent
-}
-
 // number reads a JSON number literal, failing on anything outside
-// JSON's grammar, and gathers its digits on the way.
-func (r *R) number() (n num) {
+// JSON's grammar, and returns its bytes and whether it is an integer
+// (no fraction and no exponent).
+func (r *R) number() (lit []byte, integral bool) {
 	if r.bad {
-		return n
+		return nil, false
 	}
 	r.ws()
 	d, i := r.data, r.i
-	var m uint64
-	nd := 0 // significant digits in m; leading zeros leave both at 0
-	exact := true
 	digits := func() int {
 		start := i
-		for ; i < len(d); i++ {
-			c := d[i] - '0'
-			if c > 9 {
-				break
-			}
-			if nd < 19 {
-				if m = m*10 + uint64(c); m != 0 {
-					nd++
-				}
-			} else {
-				exact = false
-			}
+		for i < len(d) && '0' <= d[i] && d[i] <= '9' {
+			i++
 		}
 		return i - start
 	}
 	if i < len(d) && d[i] == '-' {
-		n.neg = true
 		i++
 	}
 	if k := digits(); k == 0 || k > 1 && d[i-k] == '0' {
 		r.bad = true
-		return n
+		return nil, false
 	}
-	n.integral = true
+	integral = true
 	if i < len(d) && d[i] == '.' {
 		i++
-		k := digits()
-		if k == 0 {
+		if digits() == 0 {
 			r.bad = true
-			return n
+			return nil, false
 		}
-		n.e -= k
-		n.integral = false
+		integral = false
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		i++
-		neg := i < len(d) && d[i] == '-'
 		if i < len(d) && (d[i] == '-' || d[i] == '+') {
 			i++
 		}
-		start := i
-		x := 0
-		for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
-			if x < 1e5 { // past any float64's range either way
-				x = x*10 + int(d[i]-'0')
-			}
-		}
-		if i == start {
+		if digits() == 0 {
 			r.bad = true
-			return n
+			return nil, false
 		}
-		if neg {
-			x = -x
-		}
-		n.e += x
-		n.integral = false
+		integral = false
 	}
-	n.lit, n.m, n.exact, r.i = d[r.i:i], m, exact, i
-	return n
+	lit, r.i = d[r.i:i], i
+	return lit, integral
 }
 
 // Int64 reads an integer that fits an int64.
@@ -284,18 +250,12 @@ func (r *R) Int() int {
 }
 
 func (r *R) int(bits int) int64 {
-	n := r.number()
-	if r.bad || !n.integral {
+	lit, integral := r.number()
+	if r.bad || !integral {
 		r.bad = true
 		return 0
 	}
-	if bits == 64 && n.exact && n.m < 1<<63 {
-		if n.neg {
-			return -int64(n.m)
-		}
-		return int64(n.m)
-	}
-	v, err := strconv.ParseInt(string(n.lit), 10, bits)
+	v, err := strconv.ParseInt(string(lit), 10, bits)
 	if err != nil {
 		r.bad = true
 	}
@@ -304,15 +264,12 @@ func (r *R) int(bits int) int64 {
 
 // Uint64 reads a non-negative integer that fits a uint64.
 func (r *R) Uint64() uint64 {
-	n := r.number()
-	if r.bad || !n.integral || n.neg {
+	lit, integral := r.number()
+	if r.bad || !integral {
 		r.bad = true
 		return 0
 	}
-	if n.exact {
-		return n.m
-	}
-	v, err := strconv.ParseUint(string(n.lit), 10, 64)
+	v, err := strconv.ParseUint(string(lit), 10, 64) // refuses "-0" too
 	if err != nil {
 		r.bad = true
 	}
@@ -321,20 +278,13 @@ func (r *R) Uint64() uint64 {
 
 // Float reads a number that parses to a finite float64.
 func (r *R) Float() float64 {
-	n := r.number()
+	lit, _ := r.number()
 	if r.bad {
 		return 0
 	}
-	x, ok := atof(n.m, n.e)
-	if !n.exact || !ok {
-		var err error
-		if x, err = strconv.ParseFloat(string(n.lit), 64); err != nil {
-			r.bad = true
-		}
-		return x
-	}
-	if n.neg {
-		x = -x
+	x, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		r.bad = true
 	}
 	return x
 }
@@ -403,9 +353,9 @@ func (r *R) Bytes() []byte {
 }
 
 // Slice reads an array whose elements elem reads, or null as nil. The
-// slice is sized from the array's comma count once, but never to more
-// than twice the bytes of the text counted: a run of commas cannot
-// make it allocate more than the input it covers.
+// slice starts at array's capacity hint, but never at more than twice
+// the bytes of the text counted: a run of commas cannot make it
+// allocate more than the input it covers.
 func Slice[T any](r *R, elem func(r *R, v *T)) []T {
 	if r.Null() {
 		return nil
